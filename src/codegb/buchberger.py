@@ -24,7 +24,6 @@ def product_criterion(f: Polynomial, g: Polynomial) -> bool:
 
 def _prepare(gens: Iterable[Polynomial]) -> list[Polynomial]:
     basis = [g for g in gens if g]
-    ring = basis[0].ring if basis else None
     for g in basis:
         basis[0]._check_ring(g)
     return [g.monic() for g in basis]

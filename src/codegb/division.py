@@ -4,6 +4,11 @@ The loop mirrors the classical algorithm: at each step the first divisor
 whose leading monomial divides the current leading monomial wins; when
 none does, the leading term moves to the remainder. A global order is a
 well-order on monomials, so the loop always terminates.
+
+The dividend being reduced lives in a poly.TermAccumulator, not in a
+Polynomial, so a step costs O(|g| log |h|) for a divisor g and the current
+dividend h. Leading monomials strictly decrease from step to step, so the
+quotient and remainder terms come out already sorted and distinct.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import monomials
-from .poly import Polynomial
+from .poly import Polynomial, TermAccumulator
 
 
 @dataclass(frozen=True)
@@ -49,23 +54,22 @@ def divide(
 
     quotient_terms: list[list] = [[] for _ in divisors]
     remainder_terms = []
-    p = f
-    while p:
-        lc, lm = p.leading_term
+    h = TermAccumulator(ring, f.terms)
+    while h:
+        lc, lm = h.leading_term()
         for idx, g in enumerate(divisors):
             if monomials.divides(g.leading_monomial, lm):
                 qc = lc * ring.field.inv(g.leading_coefficient) % ring.p
                 qm = monomials.quotient(lm, g.leading_monomial)
                 quotient_terms[idx].append((qc, qm))
-                p = p - g.mul_term(qc, qm)
+                h.add_multiple(-qc, qm, g)
                 if trace:
                     trace(f"reduce {ring.term(lc, lm)!s} by divisor {idx}: {g!s}")
                 break
         else:
-            remainder_terms.append((lc, lm))
-            p = Polynomial(ring, p.terms[1:])
+            remainder_terms.append(h.pop_leading())
             if trace:
                 trace(f"move {ring.term(lc, lm)!s} to the remainder")
 
-    quotients = tuple(ring.poly(terms) for terms in quotient_terms)
-    return DivisionResult(quotients, ring.poly(remainder_terms))
+    quotients = tuple(Polynomial(ring, tuple(terms)) for terms in quotient_terms)
+    return DivisionResult(quotients, Polynomial(ring, tuple(remainder_terms)))

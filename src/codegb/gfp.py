@@ -7,6 +7,7 @@ contexts are caught where two contexts meet (see poly.Ring).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -55,18 +56,7 @@ class PrimeField:
         return pow(a, self.p - 2, self.p)
 
     def binom(self, m: int, t: int) -> int:
-        """Binomial coefficient C(m, t) reduced mod p.
-
-        Computed by the Pascal recurrence with reduction at every step, so
-        the result is exact for any m, t >= 0. Returns 0 when t > m.
-        """
+        """Binomial coefficient C(m, t) reduced mod p; 0 when t > m."""
         if m < 0 or t < 0:
             raise ValueError("binomial coefficient arguments must be non-negative")
-        if t > m:
-            return 0
-        if t == 0:
-            return 1
-        row = [1]
-        for _ in range(m):
-            row = [1] + [(row[j] + row[j + 1]) % self.p for j in range(len(row) - 1)] + [1]
-        return row[t]
+        return math.comb(m, t) % self.p

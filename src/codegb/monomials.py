@@ -11,6 +11,7 @@ standard-basis routine runs under.
 from __future__ import annotations
 
 from enum import Enum
+from operator import neg
 from typing import Callable
 
 Monomial = tuple[int, ...]
@@ -38,6 +39,19 @@ def sort_key(order: Order) -> Callable[[Monomial], tuple]:
         return lambda m: (sum(m), tuple(-e for e in reversed(m)))
     if order is Order.NEGDEGLEX:
         return lambda m: (-sum(m), m)
+    raise ValueError(f"unknown order {order}")
+
+
+def heap_key(order: Order) -> Callable[[Monomial], tuple]:
+    """Key function with key(a) < key(b) iff a > b: heapq's minimum is the order's maximum."""
+    if order is Order.LEX:
+        return lambda m: tuple(map(neg, m))
+    if order is Order.DEGLEX:
+        return lambda m: (-sum(m), tuple(map(neg, m)))
+    if order is Order.DEGREVLEX:
+        return lambda m: (-sum(m), m[::-1])
+    if order is Order.NEGDEGLEX:
+        return lambda m: (sum(m), tuple(map(neg, m)))
     raise ValueError(f"unknown order {order}")
 
 

@@ -11,8 +11,13 @@ instead of f = sum a_i f_i + h one gets
     u * f = a_1 f_1 + ... + a_s f_s + h
 
 with lt(u) = 1, i.e. u is a unit of the localized ring. The unit
-certificate is tracked through every reduction and returned, so callers
-can re-verify the identity exactly.
+certificate is tracked through every reduction and returned, and
+weak_normal_form verifies the identity exactly before returning; a failure
+raises CertificateError, also under python -O.
+
+h, u and the a_i live in poly.TermAccumulator objects while the loop runs,
+so a step costs O(|g| log |h|) for the reducer g; they become Polynomials
+only when an intermediate is recorded and at the end.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from typing import Callable, Iterable, Sequence
 
 from . import monomials
 from .buchberger import minimalize, product_criterion
-from .poly import Polynomial, ecart, s_polynomial
+from .poly import Polynomial, TermAccumulator, ecart, s_polynomial
 
 
 @dataclass(frozen=True)
@@ -33,6 +38,10 @@ class WeakNormalForm:
     unit: Polynomial
     coefficients: tuple[Polynomial, ...]
     recorded: int  # intermediates added to the reducer list by the ecart rule
+
+
+class CertificateError(ArithmeticError):
+    """A weak normal form's certificate u*f = sum(a_i f_i) + h, lt(u) = 1 does not hold."""
 
 
 @dataclass(frozen=True)
@@ -80,8 +89,9 @@ def weak_normal_form(
     pins the run deterministically.
 
     The loop terminates on every input, but on adversarial instances the
-    number of steps can grow astronomically; max_steps turns that into a
-    ValueError instead of an open-ended run.
+    number of steps can grow astronomically; max_steps caps the number of
+    reductions and raises ValueError beyond it instead of an open-ended run.
+    The certificate is verified before returning (CertificateError if not).
     """
     ring = f.ring
     if not ring.order.is_local:
@@ -94,52 +104,64 @@ def weak_normal_form(
         if g.is_zero:
             raise ValueError("divisors must be nonzero")
 
-    unit = ring.one()
-    coeffs = [ring.zero() for _ in divisors]
-    h = f
+    one = ring.one()
+    unit = TermAccumulator(ring, one.terms)
+    coeffs = [TermAccumulator(ring) for _ in divisors]
+    h = TermAccumulator(ring, f.terms)
     reducers = [_Reducer(g, i, None, None) for i, g in enumerate(divisors)]
     recorded = 0
     steps = 0
 
     while h:
-        if max_steps is not None:
-            steps += 1
-            if steps > max_steps:
-                raise ValueError(f"weak normal form exceeded {max_steps} reduction steps")
-        lm = h.leading_monomial
+        lc, lm = h.leading_term()
         matching = [r for r in reducers if monomials.divides(r.poly.leading_monomial, lm)]
         if not matching:
             break
+        steps += 1
+        if max_steps is not None and steps > max_steps:
+            raise ValueError(f"weak normal form exceeded {max_steps} reduction steps")
         g = min(matching, key=lambda r: r.ecart)
-        h_ecart = ecart(h)
+        h_ecart = h.ecart()
         if g.ecart > h_ecart:
-            reducers.append(_Reducer(h, None, unit, tuple(coeffs)))
+            snapshot = h.to_poly()
+            reducers.append(
+                _Reducer(snapshot, None, unit.to_poly(), tuple(a.to_poly() for a in coeffs))
+            )
             recorded += 1
             if trace:
-                trace(f"record intermediate {h!s} (ecart {h_ecart} < {g.ecart})")
-        qc = h.leading_coefficient * ring.field.inv(g.poly.leading_coefficient) % ring.p
+                trace(f"record intermediate {snapshot!s} (ecart {h_ecart} < {g.ecart})")
+        qc = lc * ring.field.inv(g.poly.leading_coefficient) % ring.p
         qm = monomials.quotient(lm, g.poly.leading_monomial)
         if trace:
-            trace(f"reduce {ring.term(h.leading_coefficient, lm)!s} by {g.poly!s}")
+            trace(f"reduce {ring.term(lc, lm)!s} by {g.poly!s}")
         if g.index is not None:
-            coeffs[g.index] = coeffs[g.index] + ring.term(qc, qm)
+            coeffs[g.index].add_multiple(qc, qm, one)
         else:
             # q has monomial < 1 under a local order (lm strictly dropped
             # since g was recorded), so the unit's leading term 1 survives.
-            unit = unit - g.unit.mul_term(qc, qm)
-            for i, b in enumerate(g.coeffs):
-                if b:
-                    coeffs[i] = coeffs[i] - b.mul_term(qc, qm)
-        h = h - g.poly.mul_term(qc, qm)
+            unit.add_multiple(-qc, qm, g.unit)
+            for a, b in zip(coeffs, g.coeffs):
+                a.add_multiple(-qc, qm, b)
+        h.add_multiple(-qc, qm, g.poly)
 
-    if __debug__:
-        acc = unit * f
-        for a, g in zip(coeffs, divisors):
-            acc = acc - a * g
-        assert acc == h, "certificate identity u*f = sum(a_i f_i) + h violated"
-        assert unit.leading_term == (1, monomials.one(ring.n)), "unit lost its leading term 1"
+    result = WeakNormalForm(
+        h.to_poly(), unit.to_poly(), tuple(a.to_poly() for a in coeffs), recorded
+    )
+    _check_certificate(f, divisors, result)
+    return result
 
-    return WeakNormalForm(h, unit, tuple(coeffs), recorded)
+
+def _check_certificate(
+    f: Polynomial, divisors: Sequence[Polynomial], result: WeakNormalForm
+) -> None:
+    """Raise CertificateError unless u*f = sum(a_i f_i) + h and lt(u) = 1 hold exactly."""
+    acc = result.unit * f
+    for a, g in zip(result.coefficients, divisors):
+        acc = acc - a * g
+    if acc != result.normal_form:
+        raise CertificateError("certificate identity u*f = sum(a_i f_i) + h violated")
+    if not result.unit or result.unit.leading_term != (1, monomials.one(f.ring.n)):
+        raise CertificateError("unit lost its leading term 1")
 
 
 def standard_basis(
@@ -244,25 +266,26 @@ def tail_reduce(f: Polynomial, basis: Sequence[Polynomial], *, budget: int = 100
 
     The leading term is kept; every subtracted multiple lies in the ideal
     the basis spans, so f and the result differ by an ideal element. Under
-    a local order this loop need not terminate, hence the step budget.
+    a local order this loop need not terminate, hence the step budget. The
+    tail being reduced is a TermAccumulator; leading monomials strictly
+    decrease, so the kept terms come out sorted.
     """
     if f.is_zero:
         return f
     ring = f.ring
     done = [f.leading_term]
-    p = Polynomial(ring, f.terms[1:])
+    h = TermAccumulator(ring, f.terms[1:])
     steps = 0
-    while p:
-        lc, lm = p.leading_term
+    while h:
+        lc, lm = h.leading_term()
         for g in basis:
             if g and monomials.divides(g.leading_monomial, lm):
                 steps += 1
                 if steps > budget:
                     raise ValueError(f"tail reduction exceeded {budget} steps")
                 qc = lc * ring.field.inv(g.leading_coefficient) % ring.p
-                p = p - g.mul_term(qc, monomials.quotient(lm, g.leading_monomial))
+                h.add_multiple(-qc, monomials.quotient(lm, g.leading_monomial), g)
                 break
         else:
-            done.append((lc, lm))
-            p = Polynomial(ring, p.terms[1:])
-    return ring.poly(done)
+            done.append(h.pop_leading())
+    return Polynomial(ring, tuple(done))

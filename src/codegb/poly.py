@@ -7,6 +7,12 @@ leave their ring implicitly: leading-term queries are only meaningful for
 a fixed order, so rebinding to another order is the explicit
 Ring.convert operation.
 
+Ring.poly is the normalizing constructor for raw, unsorted terms (a dict
+merge plus one sort). Sums and differences of Polynomials skip it: both
+operands are already sorted, so one linear merge of the two term sequences
+is enough. Reduction loops do not build a Polynomial per step at all; they
+keep the polynomial being reduced in a TermAccumulator.
+
 Elements of the localized ring attached to a local order are never
 materialized as fractions here; units show up only as polynomial
 certificates u with leading term 1 (see the mora module).
@@ -14,6 +20,8 @@ certificates u with leading term 1 (see the mora module).
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
+from operator import add
 from typing import Iterable
 
 from . import monomials
@@ -26,7 +34,7 @@ Term = tuple[int, Monomial]
 class Ring:
     """Arithmetic context: F_p coefficients, n variables, one active order."""
 
-    __slots__ = ("p", "n", "order", "field", "key")
+    __slots__ = ("p", "n", "order", "field", "key", "heap_key")
 
     def __init__(self, p: int, n: int, order: Order):
         if n < 1:
@@ -36,6 +44,7 @@ class Ring:
         self.n = n
         self.order = order
         self.key = monomials.sort_key(order)
+        self.heap_key = monomials.heap_key(order)
 
     def __eq__(self, other):
         if not isinstance(other, Ring):
@@ -143,13 +152,50 @@ class Polynomial:
         if self.ring != other.ring:
             raise ValueError(f"mixed polynomial contexts: {self.ring} vs {other.ring}")
 
+    def _merge(self, other: Polynomial) -> Polynomial:
+        """self + other by one linear merge of the two descending term sequences."""
+        a, b = self.terms, other.terms
+        if not a:
+            return other
+        if not b:
+            return self
+        p, key = self.ring.p, self.ring.key
+        out = []
+        i = j = 0
+        ka, kb = key(a[0][1]), key(b[0][1])
+        while True:
+            if ka > kb:
+                out.append(a[i])
+                i += 1
+                if i == len(a):
+                    break
+                ka = key(a[i][1])
+            elif kb > ka:
+                out.append(b[j])
+                j += 1
+                if j == len(b):
+                    break
+                kb = key(b[j][1])
+            else:
+                c = (a[i][0] + b[j][0]) % p
+                if c:
+                    out.append((c, a[i][1]))
+                i += 1
+                j += 1
+                if i == len(a) or j == len(b):
+                    break
+                ka, kb = key(a[i][1]), key(b[j][1])
+        out.extend(a[i:])
+        out.extend(b[j:])
+        return Polynomial(self.ring, tuple(out))
+
     def __add__(self, other):
         if isinstance(other, int):
             other = self.ring.constant(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_ring(other)
-        return self.ring.poly(self.terms + other.terms)
+        return self._merge(other)
 
     __radd__ = __add__
 
@@ -159,8 +205,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_ring(other)
-        p = self.ring.p
-        return self.ring.poly(self.terms + tuple(((p - c) % p, m) for c, m in other.terms))
+        return self._merge(-other)
 
     def __neg__(self):
         p = self.ring.p
@@ -241,6 +286,91 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self!s})"
+
+
+class TermAccumulator:
+    """A polynomial under reduction: a monomial -> coefficient dict plus a lazy heap.
+
+    Reduction loops read the leading term and add a term multiple c*q*g over
+    and over. Here add_multiple costs O(|g| log |h|) for the current sum h,
+    where building a new Polynomial would cost O(|h|) or more per step. The
+    heap orders monomials by the ring's heap_key, so its minimum is the
+    largest monomial; monomials whose coefficient cancelled stay in the heap
+    until they surface and are dropped there. A count of terms per total
+    degree makes ecart() cheap. to_poly() sorts once.
+    """
+
+    __slots__ = ("ring", "coeffs", "heap", "degree_counts")
+
+    def __init__(self, ring: Ring, terms: Iterable[Term] = ()):
+        """Start from normalized terms: nonzero coefficients, distinct monomials."""
+        self.ring = ring
+        self.coeffs: dict[Monomial, int] = {m: c for c, m in terms}
+        self.heap = [(ring.heap_key(m), m) for m in self.coeffs]
+        heapify(self.heap)
+        self.degree_counts: list[int] = []
+        for m in self.coeffs:
+            self._count(sum(m), 1)
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def _count(self, degree: int, delta: int) -> None:
+        counts = self.degree_counts
+        if degree >= len(counts):
+            counts.extend([0] * (degree + 1 - len(counts)))
+        counts[degree] += delta
+
+    def add_multiple(self, c: int, q: Monomial, g: Polynomial) -> None:
+        """Add c * q * g for a coefficient c, a monomial q and a Polynomial g."""
+        p = self.ring.p
+        c %= p
+        if not c:
+            return
+        coeffs, heap, heap_key = self.coeffs, self.heap, self.ring.heap_key
+        for gc, gm in g.terms:
+            m = tuple(map(add, gm, q))
+            old = coeffs.get(m)
+            if old is None:
+                coeffs[m] = c * gc % p
+                heappush(heap, (heap_key(m), m))
+                self._count(sum(m), 1)
+            else:
+                new = (old + c * gc) % p
+                if new:
+                    coeffs[m] = new
+                else:
+                    del coeffs[m]
+                    self.degree_counts[sum(m)] -= 1
+
+    def leading_term(self) -> Term:
+        heap, coeffs = self.heap, self.coeffs
+        while heap:
+            m = heap[0][1]
+            c = coeffs.get(m)
+            if c:
+                return c, m
+            heappop(heap)
+        raise ValueError("the zero polynomial has no leading term")
+
+    def pop_leading(self) -> Term:
+        """Remove and return the leading term."""
+        c, m = self.leading_term()
+        heappop(self.heap)
+        del self.coeffs[m]
+        self.degree_counts[sum(m)] -= 1
+        return c, m
+
+    def ecart(self) -> int:
+        """deg(h) minus deg(lt(h)) for the nonzero accumulated polynomial h."""
+        lm = self.leading_term()[1]
+        counts = self.degree_counts
+        while not counts[-1]:
+            counts.pop()
+        return len(counts) - 1 - sum(lm)
+
+    def to_poly(self) -> Polynomial:
+        return self.ring._from_dict(self.coeffs)
 
 
 def reduce_step(f: Polynomial, g: Polynomial) -> Polynomial:

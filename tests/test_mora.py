@@ -1,12 +1,18 @@
 """Mora weak normal forms, standard bases, and the basis checker."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
 from codegb.codes import parse_matrix, translated_generators
 from codegb.monomials import Order, divides, one
 from codegb.mora import (
+    CertificateError,
     is_standard_basis,
     standard_basis,
     tail_reduce,
@@ -109,6 +115,47 @@ def test_max_steps_budget():
     ]
     with pytest.raises(ValueError, match="exceeded"):
         weak_normal_form(f, divisors, max_steps=200)
+
+
+def test_max_steps_counts_reductions_only():
+    ring = Ring(3, 2, Order.NEGDEGLEX)
+    f, g = parse_poly("X1+X2", ring), parse_poly("X1", ring)
+    result = weak_normal_form(f, [g], max_steps=1)  # one reduction, then no reducer matches X2
+    assert result.normal_form == parse_poly("X2", ring)
+    with pytest.raises(ValueError, match="exceeded 0 "):
+        weak_normal_form(f, [g], max_steps=0)
+
+
+def test_certificate_check_survives_optimize_flag():
+    # A corrupted accumulator must still be caught when python -O strips asserts.
+    code = textwrap.dedent(
+        """
+        import sys
+        from codegb import poly
+        from codegb.monomials import Order
+        from codegb.mora import CertificateError, weak_normal_form
+        from codegb.parsing import parse_poly
+
+        assert sys.flags.optimize, "not running under -O"
+        ring = poly.Ring(3, 2, Order.NEGDEGLEX)
+        f, g = parse_poly("X1+X2", ring), parse_poly("X1", ring)
+        weak_normal_form(f, [g])  # the intact certificate passes
+        to_poly = poly.TermAccumulator.to_poly
+        poly.TermAccumulator.to_poly = lambda self: to_poly(self) + self.ring.variable(1)
+        try:
+            weak_normal_form(f, [g])
+        except CertificateError as exc:
+            print(type(exc).__name__, exc)
+        """
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("CertificateError certificate identity")
+    assert issubclass(CertificateError, ArithmeticError)
 
 
 def test_certificates_random():

@@ -24,7 +24,6 @@ from .mora import (
     WeakNormalForm,
     is_standard_basis,
     standard_basis,
-    tail_reduce,
     weak_normal_form,
 )
 from .parsing import ParseError, parse_poly, print_poly

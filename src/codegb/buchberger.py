@@ -1,13 +1,16 @@
 """Buchberger's algorithm and basis post-processing under global orders.
 
-Pair selection follows the normal strategy: the pair whose lcm is
-smallest under the active order goes first, ties broken by the smaller
-index pair, which makes runs reproducible. Coprime-leading-monomial pairs
-are skipped outright since their S-polynomials always reduce to zero.
+complete() is the package's one pair-completion loop: groebner runs it with
+division, mora.standard_basis with weak normal forms. Its heap pops the pair
+whose lcm is smallest under the active order first (the normal strategy),
+ties broken by the smaller index pair, which makes runs reproducible. Pairs
+with coprime leading monomials are skipped since their S-polynomials always
+reduce to zero.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import Callable, Iterable, Sequence
 
 from . import monomials
@@ -29,6 +32,45 @@ def _prepare(gens: Iterable[Polynomial]) -> list[Polynomial]:
     return [g.monic() for g in basis]
 
 
+def complete(
+    basis: list[Polynomial],
+    normal_form: Callable[[Polynomial, list[Polynomial]], Polynomial],
+    trace: Callable[[str], None] | None,
+) -> list[Polynomial]:
+    """Extend a nonempty monic basis in place until every S-pair reduces to zero.
+
+    normal_form(s, basis) reduces an S-polynomial by the current basis;
+    each nonzero result is made monic and appended, and its pairs with
+    every earlier element join the queue. Returns basis.
+    """
+    ring = basis[0].ring
+    pairs: list[tuple] = []
+
+    def queue_pairs(j: int) -> None:
+        lm = basis[j].leading_monomial
+        for i in range(j):
+            gamma = monomials.lcm(basis[i].leading_monomial, lm)
+            heapq.heappush(pairs, (ring.key(gamma), i, j))
+
+    for j in range(len(basis)):
+        queue_pairs(j)
+    while pairs:
+        _, i, j = heapq.heappop(pairs)
+        if product_criterion(basis[i], basis[j]):
+            continue
+        s = s_polynomial(basis[i], basis[j])
+        if not s:
+            continue
+        r = normal_form(s, basis)
+        if r:
+            r = r.monic()
+            if trace:
+                trace(f"pair ({i}, {j}) adds basis element {r!s}")
+            basis.append(r)
+            queue_pairs(len(basis) - 1)
+    return basis
+
+
 def groebner(
     gens: Iterable[Polynomial],
     *,
@@ -43,36 +85,11 @@ def groebner(
     basis = _prepare(gens)
     if not basis:
         raise ValueError("need at least one nonzero generator")
-    ring = basis[0].ring
-    if ring.order.is_local:
+    if basis[0].ring.order.is_local:
         raise ValueError(
             "Buchberger runs under global orders; use mora.standard_basis for local orders"
         )
-
-    pairs = {(i, j) for j in range(len(basis)) for i in range(j)}
-
-    def pair_key(pair):
-        i, j = pair
-        gamma = monomials.lcm(basis[i].leading_monomial, basis[j].leading_monomial)
-        return (ring.key(gamma), i, j)
-
-    while pairs:
-        i, j = min(pairs, key=pair_key)
-        pairs.remove((i, j))
-        if product_criterion(basis[i], basis[j]):
-            continue
-        s = s_polynomial(basis[i], basis[j])
-        if not s:
-            continue
-        r = divide(s, basis).remainder
-        if r:
-            r = r.monic()
-            if trace:
-                trace(f"pair ({i}, {j}) adds basis element {r!s}")
-            basis.append(r)
-            t = len(basis) - 1
-            pairs.update((a, t) for a in range(t))
-    return basis
+    return complete(basis, lambda s, b: divide(s, b).remainder, trace)
 
 
 def minimalize(basis: Sequence[Polynomial]) -> list[Polynomial]:

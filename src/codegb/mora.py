@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from . import monomials
-from .buchberger import minimalize, product_criterion
+from .buchberger import _prepare, complete, minimalize
 from .poly import Polynomial, TermAccumulator, ecart, s_polynomial
 
 
@@ -171,63 +171,32 @@ def standard_basis(
 ) -> list[Polynomial]:
     """Complete generators to a minimal standard basis under a local order.
 
-    Same pair queue and normal selection strategy as the Buchberger loop,
-    with weak normal forms replacing plain division; pairs with coprime
-    leading monomials are skipped. The result is monic, minimal (no
-    leading monomial divides another's) and sorted descending by leading
-    monomial. Tails are not reduced; see tail_reduce for display.
+    Runs buchberger's completion loop (heap-ordered pair queue, normal
+    selection strategy, product criterion) with weak normal forms in place
+    of plain division. The result is monic, minimal (no leading monomial
+    divides another's) and sorted descending by leading monomial. Tails
+    are not reduced.
     """
-    basis = [g for g in gens if g]
+    basis = _prepare(gens)
     if not basis:
         return []
-    ring = basis[0].ring
-    if not ring.order.is_local:
+    if not basis[0].ring.order.is_local:
         raise ValueError(
             "standard_basis requires a local order; use buchberger.groebner for global orders"
         )
-    for g in basis:
-        basis[0]._check_ring(g)
-    basis = [g.monic() for g in basis]
-
-    pairs = {(i, j) for j in range(len(basis)) for i in range(j)}
-
-    def pair_key(pair):
-        i, j = pair
-        gamma = monomials.lcm(basis[i].leading_monomial, basis[j].leading_monomial)
-        return (ring.key(gamma), i, j)
-
-    while pairs:
-        i, j = min(pairs, key=pair_key)
-        pairs.remove((i, j))
-        if product_criterion(basis[i], basis[j]):
-            continue
-        s = s_polynomial(basis[i], basis[j])
-        if not s:
-            continue
-        h = weak_normal_form(s, basis, trace=trace).normal_form
-        if h:
-            h = h.monic()
-            if trace:
-                trace(f"pair ({i}, {j}) adds basis element {h!s}")
-            basis.append(h)
-            t = len(basis) - 1
-            pairs.update((a, t) for a in range(t))
-    return minimalize(basis)
+    return minimalize(
+        complete(basis, lambda s, b: weak_normal_form(s, b, trace=trace).normal_form, trace)
+    )
 
 
-def is_standard_basis(
-    candidate: Sequence[Polynomial],
-    gens: Sequence[Polynomial],
-    *,
-    gens_basis: Sequence[Polynomial] | None = None,
-) -> BasisCheck:
+def is_standard_basis(candidate: Sequence[Polynomial], gens: Sequence[Polynomial]) -> BasisCheck:
     """Check that candidate is a standard basis of the ideal gens generate.
 
     Two conditions: every pairwise S-polynomial of the candidate has weak
     normal form zero, and generation holds both ways (each generator
     reduces to zero against the candidate, and each candidate element
     reduces to zero against a standard basis computed from the
-    generators). Pass gens_basis to reuse a precomputed basis of gens.
+    generators).
     """
     S = [f for f in candidate if f]
     G = [g for g in gens if g]
@@ -239,7 +208,7 @@ def is_standard_basis(
         if weak_normal_form(g, S).normal_form:
             return BasisCheck(False, f"generator {g!s} does not reduce to zero")
 
-    reference = list(gens_basis) if gens_basis is not None else standard_basis(G)
+    reference = standard_basis(G)
     for f in S:
         if weak_normal_form(f, reference).normal_form:
             return BasisCheck(
@@ -259,33 +228,3 @@ def is_standard_basis(
                 )
 
     return BasisCheck(True)
-
-
-def tail_reduce(f: Polynomial, basis: Sequence[Polynomial], *, budget: int = 1000) -> Polynomial:
-    """Reduce trailing terms of f by the basis, for display purposes.
-
-    The leading term is kept; every subtracted multiple lies in the ideal
-    the basis spans, so f and the result differ by an ideal element. Under
-    a local order this loop need not terminate, hence the step budget. The
-    tail being reduced is a TermAccumulator; leading monomials strictly
-    decrease, so the kept terms come out sorted.
-    """
-    if f.is_zero:
-        return f
-    ring = f.ring
-    done = [f.leading_term]
-    h = TermAccumulator(ring, f.terms[1:])
-    steps = 0
-    while h:
-        lc, lm = h.leading_term()
-        for g in basis:
-            if g and monomials.divides(g.leading_monomial, lm):
-                steps += 1
-                if steps > budget:
-                    raise ValueError(f"tail reduction exceeded {budget} steps")
-                qc = lc * ring.field.inv(g.leading_coefficient) % ring.p
-                h.add_multiple(-qc, monomials.quotient(lm, g.leading_monomial), g)
-                break
-        else:
-            done.append(h.pop_leading())
-    return Polynomial(ring, tuple(done))

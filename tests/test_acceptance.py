@@ -100,8 +100,8 @@ def test_02_translated_generators_equal_closed_form(matrices200):
 
 def test_03_standard_basis_verification_with_negative_controls(artifacts):
     failures = []
-    for idx, (G, closed, translated, sb) in enumerate(artifacts):
-        check = is_standard_basis(closed, translated, gens_basis=sb)
+    for idx, (G, closed, translated, _) in enumerate(artifacts):
+        check = is_standard_basis(closed, translated)
         if not check.ok:
             failures.append((idx, check.detail))
             continue
@@ -112,7 +112,7 @@ def test_03_standard_basis_verification_with_negative_controls(artifacts):
             candidate = closed[:drop] + closed[drop + 1 :]
             if not candidate:
                 continue  # the empty set generates nothing; dropping trivially fails
-            if is_standard_basis(candidate, translated, gens_basis=sb).ok:
+            if is_standard_basis(candidate, translated).ok:
                 failures.append((idx, f"drop {drop} still verifies"))
                 break
     report(

@@ -1,5 +1,7 @@
 """Command-line surface: output bytes, exit codes, determinism."""
 
+import time
+
 import pytest
 
 from codegb.cli import main
@@ -130,6 +132,28 @@ def test_nf_bad_polynomial(capsys, tmp_path):
     basis.write_text("p=3 n=1\nX1\n")
     code, _, err = run(capsys, "nf", "X9", str(basis))
     assert code == 2 and "error" in err
+
+
+def test_nf_huge_prime_modulus_is_fast(capsys, tmp_path):
+    basis = tmp_path / "basis.txt"
+    basis.write_text("p=1000000000000000003 n=1\nX1+2X1^2\n")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "nf", "X1", str(basis), "--order", "negdeglex")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert out.splitlines() == ["NF: 0", "unit: 1+2X1"]
+
+
+def test_modulus_beyond_exact_primality_range_exits_2(capsys, tmp_path):
+    p = "100000000000000000000000000067"  # 30 digits
+    basis = tmp_path / "basis.txt"
+    basis.write_text(f"p={p} n=1\nX1\n")
+    code, _, err = run(capsys, "nf", "X1", str(basis))
+    assert code == 2 and "modulus too large" in err
+    matrix = tmp_path / "matrix.txt"
+    matrix.write_text(f"p={p}\nk=1 n=1\n1\n")
+    code, _, err = run(capsys, "verify", str(matrix))
+    assert code == 2 and "modulus too large" in err
 
 
 def test_trace_goes_to_stderr(capsys, tmp_path):

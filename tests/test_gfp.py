@@ -1,30 +1,38 @@
-"""Prime-field arithmetic and binomial coefficients mod p."""
+"""Primality, prime-field inverses and binomial coefficients mod p."""
 
 import math
-from itertools import product
 
 import pytest
+import sympy
 
 from codegb.gfp import PrimeField, is_prime
+
+
+# strong pseudoprimes to base 2 (2047), to bases 2, 3, 5 (3215031751) and to
+# every prime base up to 37 (the last one), plus Carmichael numbers
+PSEUDOPRIMES = [2047, 3215031751, 318665857834031151167461, 561, 1105, 1729, 2465, 8911, 41041, 825265]
 
 
 def test_is_prime():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert is_prime(101)
     assert not is_prime(1001)
+    for n in list(range(10**4)) + PSEUDOPRIMES + [2**61 - 1, 10**18 + 3, 10**18 + 9]:
+        assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_is_prime_refuses_moduli_beyond_its_exact_range():
+    assert is_prime(3317044064679887385961979) == sympy.isprime(3317044064679887385961979)
+    with pytest.raises(ValueError, match="modulus too large"):
+        is_prime(3317044064679887385961981)
+    with pytest.raises(ValueError, match="modulus too large"):
+        PrimeField(10**29 + 7)
 
 
 @pytest.mark.parametrize("bad", [0, 1, 4, 9, 1001])
 def test_nonprime_modulus_rejected(bad):
     with pytest.raises(ValueError):
         PrimeField(bad)
-
-
-def test_arith_examples():
-    F3 = PrimeField(3)
-    assert F3.add(1, 2) == 0
-    assert F3.mul(2, 2) == 1
-    assert PrimeField(5).sub(0, 1) == 4
 
 
 def test_inverse_examples():
@@ -38,24 +46,12 @@ def test_inverse_examples():
 def test_inverses_exhaustive(p):
     field = PrimeField(p)
     for a in range(1, p):
-        assert field.mul(a, field.inv(a)) == 1
+        assert a * field.inv(a) % p == 1
 
 
 def test_inverse_of_zero_rejected():
     with pytest.raises(ZeroDivisionError):
         PrimeField(7).inv(0)
-
-
-@pytest.mark.parametrize("p", [2, 3, 5])
-def test_field_axioms_exhaustive(p):
-    field = PrimeField(p)
-    elements = range(p)
-    for a, b, c in product(elements, repeat=3):
-        assert field.add(field.add(a, b), c) == field.add(a, field.add(b, c))
-        assert field.mul(field.mul(a, b), c) == field.mul(a, field.mul(b, c))
-        assert field.mul(a, field.add(b, c)) == field.add(field.mul(a, b), field.mul(a, c))
-        assert field.add(a, b) == field.add(b, a)
-        assert field.mul(a, b) == field.mul(b, a)
 
 
 def test_binom_examples():

@@ -1,11 +1,20 @@
-"""Golden reduction runs: normal form, recorded intermediates, step count, trace.
+"""Golden reduction and completion runs, pinned by printed output and trace.
 
-Each row is a seeded random instance, reduced by weak_normal_form (local)
-or divide (global) with a trace. The expected values were printed by the
-implementation that rebuilt a sorted Polynomial after every step; they pin
-the divisor selection (first match for divide, minimal ecart with earliest
-insertion for Mora) and the recording rule, so a faster reduction core must
-reproduce them exactly. The digest is over the full trace text.
+Each GOLDEN row is a seeded random instance, reduced by weak_normal_form
+(local) or divide (global) with a trace. The expected values were printed by
+the implementation that rebuilt a sorted Polynomial after every step; they
+pin the divisor selection (first match for divide, minimal ecart with
+earliest insertion for Mora) and the recording rule, so a faster reduction
+core must reproduce them exactly. The digest is over the full trace text.
+
+Each GOLDEN_COMPLETION row is a seeded ideal completed by the unreduced
+groebner (global orders) or by standard_basis (local order) with a trace.
+The expected length and digest of the printed basis plus trace were printed
+by the completion loop that picked the next pair with min() over a set;
+they pin the pair-pop order (the index pairs in the trace and the order of
+the appended elements), so a different pair queue must reproduce them.
+Translated code generators are not used here: the product criterion skips
+every one of their pairs.
 """
 
 import hashlib
@@ -13,9 +22,12 @@ import random
 
 import pytest
 
+from codegb.buchberger import groebner
+from codegb.codes import lex_code_basis, random_matrix
 from codegb.division import divide
 from codegb.monomials import Order
-from codegb.mora import weak_normal_form
+from codegb.mora import standard_basis, weak_normal_form
+from codegb.parsing import print_poly
 from codegb.poly import Ring
 
 from helpers import random_local_divisor, random_nonzero_poly
@@ -74,3 +86,56 @@ def test_golden_reduction(kind, seed, normal_form, recorded, steps, digest):
     assert got == (normal_form, recorded)
     assert sum(line.startswith("reduce ") for line in lines) == steps
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == digest
+
+
+GOLDEN_COMPLETION = [
+    ('code', 3, 'lex', 39, '065bef135d56bf3c'),
+    ('code', 5, 'lex', 37, '161afe120586deca'),
+    ('code', 9, 'deglex', 723, '9cd48c58cf5c3801'),
+    ('code', 21, 'deglex', 818, 'cd3936a136307206'),
+    ('code', 11, 'degrevlex', 1021, '40eafd9af024a4eb'),
+    ('code', 16, 'degrevlex', 554, '4f5f7598bf749615'),
+    ('code', 27, 'degrevlex', 556, 'aa3252b6b1a8d4b8'),
+    ('random', 1, 'lex', 285, 'ba885e772a111b99'),
+    ('random', 3, 'deglex', 212, '76fe08f937fa717e'),
+    ('random', 4, 'degrevlex', 253, '946b9342edda511b'),
+    ('local', 1, 'negdeglex', 3149, '23e80d17e5ebf29e'),
+    ('local', 5, 'negdeglex', 684, '229926a63974a7f0'),
+    ('local', 8, 'negdeglex', 653, '2ea4070fe131d789'),
+    ('local', 13, 'negdeglex', 2746, '5c5da2bee4a113bf'),
+    ('local', 18, 'negdeglex', 1453, '3b0c79ef5dad35bc'),
+    ('local', 20, 'negdeglex', 1055, 'b45336079a5a64d7'),
+]
+
+
+def code_ideal(seed, order):
+    """Binomial generators of a k=1..2 code ideal, converted to the given order."""
+    rng = random.Random(seed)
+    k = rng.randint(1, 2)
+    G = random_matrix(rng, rng.choice((2, 3, 5)), k, rng.randint(k + 1, 4))
+    ring = Ring(G.p, G.n, order)
+    return [ring.convert(f) for f in lex_code_basis(G)]
+
+
+def random_ideal(seed, order):
+    rng = random.Random(seed)
+    ring = Ring(rng.choice((2, 3, 5, 7)), rng.randint(2, 3), order)
+    return [random_nonzero_poly(ring, rng, max_terms=4, max_deg=3) for _ in range(rng.randint(3, 4))]
+
+
+def local_ideal(seed, order):
+    rng = random.Random(seed)
+    ring = Ring(rng.choice((2, 3, 5, 7)), rng.randint(2, 3), order)
+    return [random_local_divisor(ring, rng, max_terms=4, max_deg=4) for _ in range(rng.randint(2, 4))]
+
+
+@pytest.mark.parametrize("kind, seed, order, length, digest", GOLDEN_COMPLETION)
+def test_golden_completion(kind, seed, order, length, digest):
+    lines = []
+    if kind == "local":
+        basis = standard_basis(local_ideal(seed, Order(order)), trace=lines.append)
+    else:
+        gens = (code_ideal if kind == "code" else random_ideal)(seed, Order(order))
+        basis = groebner(gens, trace=lines.append)
+    text = "\n".join(print_poly(f) for f in basis) + "\n--\n" + "\n".join(lines)
+    assert (len(text), hashlib.sha256(text.encode()).hexdigest()[:16]) == (length, digest)

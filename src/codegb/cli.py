@@ -104,6 +104,11 @@ def _print_report(report) -> None:
 def cmd_verify(args) -> int:
     if (args.matrix is None) == (args.random is None):
         raise ValueError("give either a matrix file or --random N")
+    if args.random is not None:
+        if args.random < 1:
+            raise ValueError(f"--random needs N >= 1, got {args.random}")
+        if args.inject_drop is not None:
+            raise ValueError("--inject-drop needs a matrix file; it does not apply to --random")
     if args.matrix is not None:
         G = parse_matrix(_read(args.matrix))
         report = verify_closed_form(G, drop_index=args.inject_drop)
@@ -128,11 +133,16 @@ def cmd_verify(args) -> int:
 
 def cmd_nf(args) -> int:
     order = Order(args.order)
+    if args.max_steps is not None:
+        if not order.is_local:
+            raise ValueError(f"--max-steps needs a local order, got {order.value}")
+        if args.max_steps < 0:
+            raise ValueError(f"--max-steps must be non-negative, got {args.max_steps}")
     ring, basis = _load_basis_file(_read(args.basis), order)
     f = parse_poly(args.poly, ring)
     trace = _make_trace(args.trace)
     if order.is_local:
-        result = weak_normal_form(f, basis, trace=trace)
+        result = weak_normal_form(f, basis, trace=trace, max_steps=args.max_steps)
         print(f"NF: {print_poly(result.normal_form)}")
         print(f"unit: {print_poly(result.unit)}")
     else:
@@ -182,6 +192,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_nf.add_argument("poly", help="polynomial, e.g. 'X1+2X4^2'")
     p_nf.add_argument("basis", help="basis file: 'p=<prime> n=<int>' header, one polynomial per line")
     p_nf.add_argument("--order", choices=_ORDER_CHOICES, default="lex")
+    p_nf.add_argument(
+        "--max-steps",
+        type=int,
+        metavar="N",
+        help="give up after N reduction steps (local orders only)",
+    )
     p_nf.add_argument("--trace", action="store_true", help="dump reduction steps to stderr")
     p_nf.set_defaults(func=cmd_nf)
 

@@ -52,15 +52,17 @@ def divide(
         if g.is_zero:
             raise ValueError("divisors must be nonzero")
 
+    leading = [g.leading_monomial for g in divisors]
     quotient_terms: list[list] = [[] for _ in divisors]
     remainder_terms = []
     h = TermAccumulator(ring, f.terms)
     while h:
         lc, lm = h.leading_term()
-        for idx, g in enumerate(divisors):
-            if monomials.divides(g.leading_monomial, lm):
+        for idx, glm in enumerate(leading):
+            if monomials.divides(glm, lm):
+                g = divisors[idx]
                 qc = lc * ring.field.inv(g.leading_coefficient) % ring.p
-                qm = monomials.quotient(lm, g.leading_monomial)
+                qm = monomials.quotient(lm, glm)
                 quotient_terms[idx].append((qc, qm))
                 h.add_multiple(-qc, qm, g)
                 if trace:

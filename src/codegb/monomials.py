@@ -11,7 +11,7 @@ standard-basis routine runs under.
 from __future__ import annotations
 
 from enum import Enum
-from operator import neg
+from operator import add, le, neg, sub
 from typing import Callable
 
 Monomial = tuple[int, ...]
@@ -75,27 +75,30 @@ def degree(a: Monomial) -> int:
 def mul(a: Monomial, b: Monomial) -> Monomial:
     if len(a) != len(b):
         raise ValueError(f"monomial lengths differ: {len(a)} vs {len(b)}")
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def divides(a: Monomial, b: Monomial) -> bool:
     """Componentwise a <= b."""
     if len(a) != len(b):
         raise ValueError(f"monomial lengths differ: {len(a)} vs {len(b)}")
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def quotient(b: Monomial, a: Monomial) -> Monomial:
     """b / a for a divisor a of b."""
-    if not divides(a, b):
+    if len(a) != len(b):
+        raise ValueError(f"monomial lengths differ: {len(a)} vs {len(b)}")
+    q = tuple(map(sub, b, a))
+    if min(q, default=0) < 0:
         raise ValueError(f"{a} does not divide {b}")
-    return tuple(y - x for x, y in zip(a, b))
+    return q
 
 
 def lcm(a: Monomial, b: Monomial) -> Monomial:
     if len(a) != len(b):
         raise ValueError(f"monomial lengths differ: {len(a)} vs {len(b)}")
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def one(n: int) -> Monomial:

@@ -15,9 +15,12 @@ certificate is tracked through every reduction and returned, and
 weak_normal_form verifies the identity exactly before returning; a failure
 raises CertificateError, also under python -O.
 
-h, u and the a_i live in poly.TermAccumulator objects while the loop runs,
-so a step costs O(|g| log |h|) for the reducer g; they become Polynomials
-only when an intermediate is recorded and at the end.
+While the loop runs, h lives in a poly.TermAccumulator, so a step costs
+O(|g| log |h|) for the reducer g. The unit u and the a_i are never read in
+leading-term order, so they are plain monomial -> coefficient dicts, copied
+when an intermediate is recorded and sorted into Polynomials once, at the
+end. The certificate check recomputes u*f - sum(a_i f_i) from the returned
+Polynomials alone, summing term products into one dict.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from typing import Callable, Iterable, Sequence
 
 from . import monomials
 from .buchberger import _prepare, complete, minimalize
-from .poly import Polynomial, TermAccumulator, ecart, s_polynomial
+from .monomials import Monomial
+from .poly import Polynomial, TermAccumulator, add_product, ecart, s_polynomial
 
 
 @dataclass(frozen=True)
@@ -59,18 +63,32 @@ class _Reducer:
     """A reduction candidate: an original divisor or a recorded intermediate.
 
     Recorded intermediates carry a snapshot (unit, coeffs) of their own
-    certificate h = unit*f - sum(coeffs[i]*f_i), which is what keeps the
-    overall identity exact when they are used as divisors.
+    certificate h = unit*f - sum(coeffs[i]*f_i), as monomial -> coefficient
+    dicts, which is what keeps the overall identity exact when they are
+    used as divisors. The leading monomial and the ecart are cached because
+    every step scans every reducer.
     """
 
-    __slots__ = ("poly", "index", "unit", "coeffs", "ecart")
+    __slots__ = ("poly", "lm", "index", "unit", "coeffs", "ecart")
 
     def __init__(self, poly, index, unit, coeffs):
         self.poly = poly
+        self.lm = poly.leading_monomial
         self.index = index
         self.unit = unit
         self.coeffs = coeffs
         self.ecart = ecart(poly)
+
+
+def _add_multiple(acc: dict, c: int, q: Monomial, terms: dict, p: int) -> None:
+    """Add c * q * t into acc for a monomial -> coefficient dict t, mod p."""
+    for m, tc in terms.items():
+        m = monomials.mul(m, q)
+        v = (acc.get(m, 0) + c * tc) % p
+        if v:
+            acc[m] = v
+        else:
+            del acc[m]
 
 
 def weak_normal_form(
@@ -104,9 +122,10 @@ def weak_normal_form(
         if g.is_zero:
             raise ValueError("divisors must be nonzero")
 
-    one = ring.one()
-    unit = TermAccumulator(ring, one.terms)
-    coeffs = [TermAccumulator(ring) for _ in divisors]
+    p = ring.p
+    one = {monomials.one(ring.n): 1}
+    unit = dict(one)
+    coeffs: list[dict] = [{} for _ in divisors]
     h = TermAccumulator(ring, f.terms)
     reducers = [_Reducer(g, i, None, None) for i, g in enumerate(divisors)]
     recorded = 0
@@ -114,38 +133,48 @@ def weak_normal_form(
 
     while h:
         lc, lm = h.leading_term()
-        matching = [r for r in reducers if monomials.divides(r.poly.leading_monomial, lm)]
-        if not matching:
+        # the earliest matching reducer of least ecart; none is below 0
+        g = None
+        for r in reducers:
+            if (g is None or r.ecart < g.ecart) and monomials.divides(r.lm, lm):
+                g = r
+                if not g.ecart:
+                    break
+        if g is None:
             break
         steps += 1
         if max_steps is not None and steps > max_steps:
             raise ValueError(f"weak normal form exceeded {max_steps} reduction steps")
-        g = min(matching, key=lambda r: r.ecart)
-        h_ecart = h.ecart()
-        if g.ecart > h_ecart:
-            snapshot = h.to_poly()
-            reducers.append(
-                _Reducer(snapshot, None, unit.to_poly(), tuple(a.to_poly() for a in coeffs))
-            )
-            recorded += 1
-            if trace:
-                trace(f"record intermediate {snapshot!s} (ecart {h_ecart} < {g.ecart})")
-        qc = lc * ring.field.inv(g.poly.leading_coefficient) % ring.p
-        qm = monomials.quotient(lm, g.poly.leading_monomial)
+        # h's ecart is never negative, so only a reducer of positive ecart can exceed it
+        if g.ecart:
+            h_ecart = h.ecart()
+            if g.ecart > h_ecart:
+                snapshot = h.to_poly()
+                reducers.append(
+                    _Reducer(snapshot, None, dict(unit), tuple(dict(a) for a in coeffs))
+                )
+                recorded += 1
+                if trace:
+                    trace(f"record intermediate {snapshot!s} (ecart {h_ecart} < {g.ecart})")
+        qc = lc * ring.field.inv(g.poly.leading_coefficient) % p
+        qm = monomials.quotient(lm, g.lm)
         if trace:
             trace(f"reduce {ring.term(lc, lm)!s} by {g.poly!s}")
         if g.index is not None:
-            coeffs[g.index].add_multiple(qc, qm, one)
+            _add_multiple(coeffs[g.index], qc, qm, one, p)
         else:
             # q has monomial < 1 under a local order (lm strictly dropped
             # since g was recorded), so the unit's leading term 1 survives.
-            unit.add_multiple(-qc, qm, g.unit)
+            _add_multiple(unit, -qc, qm, g.unit, p)
             for a, b in zip(coeffs, g.coeffs):
-                a.add_multiple(-qc, qm, b)
+                _add_multiple(a, -qc, qm, b, p)
         h.add_multiple(-qc, qm, g.poly)
 
     result = WeakNormalForm(
-        h.to_poly(), unit.to_poly(), tuple(a.to_poly() for a in coeffs), recorded
+        h.to_poly(),
+        ring._from_dict(unit),
+        tuple(ring._from_dict(a) for a in coeffs),
+        recorded,
     )
     _check_certificate(f, divisors, result)
     return result
@@ -154,13 +183,20 @@ def weak_normal_form(
 def _check_certificate(
     f: Polynomial, divisors: Sequence[Polynomial], result: WeakNormalForm
 ) -> None:
-    """Raise CertificateError unless u*f = sum(a_i f_i) + h and lt(u) = 1 hold exactly."""
-    acc = result.unit * f
+    """Raise CertificateError unless u*f = sum(a_i f_i) + h and lt(u) = 1 hold exactly.
+
+    Recomputes u*f - sum(a_i f_i) from the returned Polynomials alone: every
+    term product is summed into one monomial -> coefficient dict, which,
+    sorted, must be h term for term.
+    """
+    ring = f.ring
+    acc: dict[Monomial, int] = {}
+    add_product(acc, 1, result.unit, f)
     for a, g in zip(result.coefficients, divisors):
-        acc = acc - a * g
-    if acc != result.normal_form:
+        add_product(acc, -1, a, g)
+    if ring._from_dict(acc) != result.normal_form:
         raise CertificateError("certificate identity u*f = sum(a_i f_i) + h violated")
-    if not result.unit or result.unit.leading_term != (1, monomials.one(f.ring.n)):
+    if not result.unit or result.unit.leading_term != (1, monomials.one(ring.n)):
         raise CertificateError("unit lost its leading term 1")
 
 

@@ -11,7 +11,8 @@ Ring.poly is the normalizing constructor for raw, unsorted terms (a dict
 merge plus one sort). Sums and differences of Polynomials skip it: both
 operands are already sorted, so one linear merge of the two term sequences
 is enough. Reduction loops do not build a Polynomial per step at all; they
-keep the polynomial being reduced in a TermAccumulator.
+keep the polynomial being reduced in a TermAccumulator. Products sum
+their term products into one monomial -> coefficient dict (add_product).
 
 Elements of the localized ring attached to a local order are never
 materialized as fractions here; units show up only as polynomial
@@ -223,16 +224,8 @@ class Polynomial:
         self._check_ring(other)
         if not self.terms or not other.terms:
             return self.ring.zero()
-        p = self.ring.p
         acc: dict[Monomial, int] = {}
-        for c1, m1 in self.terms:
-            for c2, m2 in other.terms:
-                m = monomials.mul(m1, m2)
-                c = (acc.get(m, 0) + c1 * c2) % p
-                if c:
-                    acc[m] = c
-                else:
-                    acc.pop(m, None)
+        add_product(acc, 1, self, other)
         return self.ring._from_dict(acc)
 
     __rmul__ = __mul__
@@ -288,12 +281,29 @@ class Polynomial:
         return f"Polynomial({self!s})"
 
 
+def add_product(acc: dict[Monomial, int], c: int, a: Polynomial, b: Polynomial) -> None:
+    """Add c*a*b into a monomial -> coefficient dict, mod p; cancelled terms leave it."""
+    p = a.ring.p
+    for c1, m1 in a.terms:
+        c1 *= c
+        for c2, m2 in b.terms:
+            m = monomials.mul(m1, m2)
+            v = (acc.get(m, 0) + c1 * c2) % p
+            if v:
+                acc[m] = v
+            else:
+                acc.pop(m, None)
+
+
 class TermAccumulator:
     """A polynomial under reduction: a monomial -> coefficient dict plus a lazy heap.
 
     Reduction loops read the leading term and add a term multiple c*q*g over
-    and over. Here add_multiple costs O(|g| log |h|) for the current sum h,
-    where building a new Polynomial would cost O(|h|) or more per step. The
+    and over; division.divide and mora.weak_normal_form keep the dividend h
+    here (divide's quotients come out sorted and Mora's unit and cofactors
+    are never read in order, so those are plain lists and dicts). Here
+    add_multiple costs O(|g| log |h|) for the current sum h, where building
+    a new Polynomial would cost O(|h|) or more per step. The
     heap orders monomials by the ring's heap_key, so its minimum is the
     largest monomial; monomials whose coefficient cancelled stay in the heap
     until they surface and are dropped there. A count of terms per total
@@ -302,7 +312,7 @@ class TermAccumulator:
 
     __slots__ = ("ring", "coeffs", "heap", "degree_counts")
 
-    def __init__(self, ring: Ring, terms: Iterable[Term] = ()):
+    def __init__(self, ring: Ring, terms: Iterable[Term]):
         """Start from normalized terms: nonzero coefficients, distinct monomials."""
         self.ring = ring
         self.coeffs: dict[Monomial, int] = {m: c for c, m in terms}

@@ -1,6 +1,10 @@
 """Command-line surface: output bytes, exit codes, determinism."""
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -107,6 +111,55 @@ def test_verify_needs_exactly_one_mode(capsys, matrix_file):
     assert code == 2
     code, _, err = run(capsys, "verify", matrix_file, "--random", "3")
     assert code == 2
+
+
+@pytest.mark.parametrize("count", ["-1", "0"])
+def test_verify_random_needs_a_positive_count(capsys, count):
+    code, out, err = run(capsys, "verify", "--random", count)
+    assert code == 2
+    assert out == "" and err.startswith("error: --random needs N >= 1")
+
+
+def test_verify_inject_drop_is_refused_with_random(capsys):
+    code, out, err = run(capsys, "verify", "--random", "2", "--inject-drop", "0")
+    assert code == 2
+    assert out == "" and err.startswith("error: --inject-drop needs a matrix file")
+
+
+def test_verify_matches_under_optimize_flag(tmp_path):
+    # python -O strips asserts; every check behind verify's output must survive it
+    path = tmp_path / "matrix.txt"
+    path.write_text(EXAMPLE_MATRIX)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    for extra in ([], ["--inject-drop", "0"]):
+        plain, optimized = (
+            subprocess.run(
+                [sys.executable, *flags, "-m", "codegb.cli", "verify", str(path), *extra],
+                env=env, capture_output=True, timeout=120,
+            )
+            for flags in ([], ["-O"])
+        )
+        assert (optimized.returncode, optimized.stdout) == (plain.returncode, plain.stdout)
+        assert plain.returncode == (1 if extra else 0)
+
+
+def test_nf_max_steps(capsys, tmp_path):
+    basis = tmp_path / "basis.txt"
+    basis.write_text("p=3 n=1\nX1+2X1^2\n")
+    code, out, err = run(capsys, "nf", "X1", str(basis), "--order", "negdeglex", "--max-steps", "0")
+    assert code == 2
+    assert out == "" and err == "error: weak normal form exceeded 0 reduction steps\n"
+    code, out, _ = run(capsys, "nf", "X1", str(basis), "--order", "negdeglex", "--max-steps", "2")
+    assert code == 0
+    assert out.splitlines() == ["NF: 0", "unit: 1+2X1"]
+
+
+def test_nf_max_steps_needs_a_local_order(capsys, tmp_path):
+    basis = tmp_path / "basis.txt"
+    basis.write_text(LEX_BASIS_FILE)
+    code, out, err = run(capsys, "nf", "X1X2", str(basis), "--order", "lex", "--max-steps", "5")
+    assert code == 2
+    assert out == "" and "local order" in err
 
 
 def test_nf_local_with_unit(capsys, tmp_path):

@@ -5,12 +5,14 @@ import random
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from codegb.codes import parse_matrix, translated_generators
 from codegb.monomials import Order, divides, one
+from codegb import mora
 from codegb.mora import (
     CertificateError,
     is_standard_basis,
@@ -155,6 +157,36 @@ def test_certificate_check_survives_optimize_flag():
     assert run.returncode == 0, run.stderr
     assert run.stdout.startswith("CertificateError certificate identity")
     assert issubclass(CertificateError, ArithmeticError)
+
+
+def test_certificate_check_rejects_each_corrupted_part():
+    ring = Ring(3, 2, Order.NEGDEGLEX)
+    f = parse_poly("X1+X2^2", ring)
+    divisors = [parse_poly("X1+2X1^2", ring), parse_poly("X2+X1X2", ring)]
+    result = weak_normal_form(f, divisors)
+    assert result.recorded and len(result.unit.terms) > 1 and all(result.coefficients)
+    mora._check_certificate(f, divisors, result)  # the intact certificate passes
+
+    bump = ring.term(1, (2, 3))
+    coefficients = list(result.coefficients)
+    coefficients[1] = coefficients[1] + bump
+    corrupted = {
+        "h": replace(result, normal_form=result.normal_form + bump),
+        "u": replace(result, unit=result.unit + bump),
+        "a_1": replace(result, coefficients=tuple(coefficients)),
+        # scaling u, the a_i and h by 2 keeps the identity; only lt(u) = 1 breaks
+        "lt(u)": replace(
+            result,
+            normal_form=result.normal_form * 2,
+            unit=result.unit * 2,
+            coefficients=tuple(a * 2 for a in result.coefficients),
+        ),
+    }
+    for bad in corrupted.values():
+        with pytest.raises(CertificateError):
+            mora._check_certificate(f, divisors, bad)
+    with pytest.raises(CertificateError, match="leading term 1"):
+        mora._check_certificate(f, divisors, corrupted["lt(u)"])
 
 
 def test_certificates_random():

@@ -1,6 +1,7 @@
 """Hypothesis properties of the term arithmetic and the two reduction loops.
 
-Merged add/sub and the TermAccumulator are checked against Ring.poly, the
+The monomial operations are checked against their componentwise
+definitions; merged add/sub and the TermAccumulator against Ring.poly, the
 normalizing constructor, as the reference; division and Mora reduction
 against their contracts.
 """
@@ -37,6 +38,40 @@ def polys(draw, ring, **kwargs):
 
 def nonzero_polys(draw, ring, **kwargs):
     return polys(draw, ring, **kwargs) or ring.variable(1)
+
+
+@st.composite
+def monomial_pairs(draw):
+    n = draw(st.integers(1, 6))
+    exps = st.tuples(*[st.integers(0, 9)] * n)
+    return draw(exps), draw(exps)
+
+
+@FAST
+@given(monomial_pairs())
+def test_monomial_ops_are_componentwise(args):
+    a, b = args
+    assert monomials.mul(a, b) == tuple(x + y for x, y in zip(a, b))
+    assert monomials.lcm(a, b) == tuple(max(x, y) for x, y in zip(a, b))
+    assert monomials.divides(a, b) == all(x <= y for x, y in zip(a, b))
+    if monomials.divides(a, b):
+        assert monomials.quotient(b, a) == tuple(y - x for x, y in zip(a, b))
+    else:
+        with pytest.raises(ValueError):
+            monomials.quotient(b, a)
+    assert monomials.quotient(monomials.mul(a, b), a) == b
+
+
+@FAST
+@given(monomial_pairs(), st.integers(1, 3))
+def test_monomial_ops_reject_length_mismatch(args, extra):
+    a, b = args
+    longer = b + (0,) * extra
+    for op in (monomials.mul, monomials.divides, monomials.quotient, monomials.lcm):
+        with pytest.raises(ValueError):
+            op(a, longer)
+        with pytest.raises(ValueError):
+            op(longer, a)
 
 
 @st.composite

@@ -20,7 +20,6 @@ from pathlib import Path
 
 from .buchberger import groebner, reduce_basis
 from .codes import (
-    MatrixFormatError,
     closed_form_basis,
     lex_code_basis,
     parse_matrix,
@@ -31,7 +30,7 @@ from .codes import (
 from .division import divide
 from .monomials import Order
 from .mora import standard_basis, weak_normal_form
-from .parsing import ParseError, parse_poly, print_poly
+from .parsing import ParseError, content_lines, parse_poly, print_poly
 from .poly import Ring
 
 _ORDER_CHOICES = [o.value for o in Order]
@@ -49,11 +48,7 @@ def _make_trace(enabled: bool):
 
 def _load_basis_file(text: str, order: Order):
     """Basis file: first line 'p=<prime> n=<int>', then one polynomial per line."""
-    lines = []
-    for raw in text.splitlines():
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            lines.append(stripped)
+    lines = content_lines(text)
     if not lines:
         raise ParseError("empty basis file", 1, 1)
     m = re.fullmatch(r"p=(\d+)\s+n=(\d+)", lines[0])
@@ -208,13 +203,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, MatrixFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, ZeroDivisionError, OSError) as exc:
+        # ParseError and MatrixFormatError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,6 +18,7 @@ from typing import Sequence
 from .gfp import is_prime
 from .monomials import Order, variable
 from .mora import BasisCheck, is_standard_basis
+from .parsing import content_lines
 from .poly import Polynomial, Ring
 
 
@@ -74,11 +75,7 @@ def parse_matrix(text: str) -> GeneratorMatrix:
     Line 1 is ``p=<prime>``, line 2 is ``k=<int> n=<int>``, then k lines
     of n space-separated integers in [0, p). ``#`` starts a comment.
     """
-    lines = []
-    for raw in text.splitlines():
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            lines.append(stripped)
+    lines = content_lines(text)
     if len(lines) < 2:
         raise MatrixFormatError("expected a p= line and a k=/n= line")
     m = re.fullmatch(r"p=(\d+)", lines[0])

@@ -15,8 +15,14 @@ certificate is tracked through every reduction and returned, and
 weak_normal_form verifies the identity exactly before returning; a failure
 raises CertificateError, also under python -O.
 
+Every reducer, h included, is a combination c_0*f - sum(c_i f_i), and its
+certificate is that vector (c_0, c_1, ..., c_s): an original divisor f_i is
+0*f - (-1)*f_i, and h starts as 1*f. A step h -= q*g applies the same update
+c_j -= q*g.c_j to every position g carries, so one rule keeps u = c_0 and
+a_i = c_i exact whether g is an original divisor or a recorded intermediate.
+
 While the loop runs, h lives in a poly.TermAccumulator, so a step costs
-O(|g| log |h|) for the reducer g. The unit u and the a_i are never read in
+O(|g| log |h|) for the reducer g. The certificate entries are never read in
 leading-term order, so they are plain monomial -> coefficient dicts, copied
 when an intermediate is recorded and sorted into Polynomials once, at the
 end. The certificate check recomputes u*f - sum(a_i f_i) from the returned
@@ -60,24 +66,21 @@ class BasisCheck:
 
 
 class _Reducer:
-    """A reduction candidate: an original divisor or a recorded intermediate.
+    """A reduction candidate g = cert[0]*f - sum(cert[i+1]*f_i).
 
-    Recorded intermediates carry a snapshot (unit, coeffs) of their own
-    certificate h = unit*f - sum(coeffs[i]*f_i), as monomial -> coefficient
-    dicts, which is what keeps the overall identity exact when they are
-    used as divisors. The leading monomial and the ecart are cached because
-    every step scans every reducer.
+    cert maps a position to a monomial -> coefficient dict and holds only
+    the nonzero positions: {i+1: {1: -1}} for the original divisor f_i, a
+    snapshot of h's own vector for a recorded intermediate. The leading
+    monomial and the ecart are cached because every step scans every reducer.
     """
 
-    __slots__ = ("poly", "lm", "index", "unit", "coeffs", "ecart")
+    __slots__ = ("poly", "lm", "cert", "ecart")
 
-    def __init__(self, poly, index, unit, coeffs):
+    def __init__(self, poly, cert, ecart):
         self.poly = poly
         self.lm = poly.leading_monomial
-        self.index = index
-        self.unit = unit
-        self.coeffs = coeffs
-        self.ecart = ecart(poly)
+        self.cert = cert
+        self.ecart = ecart
 
 
 def _add_multiple(acc: dict, c: int, q: Monomial, terms: dict, p: int) -> None:
@@ -123,11 +126,11 @@ def weak_normal_form(
             raise ValueError("divisors must be nonzero")
 
     p = ring.p
-    one = {monomials.one(ring.n): 1}
-    unit = dict(one)
-    coeffs: list[dict] = [{} for _ in divisors]
+    one = monomials.one(ring.n)
+    # h = cert[0]*f - sum(cert[i+1]*f_i), so cert[0] is u and cert[i+1] is a_i
+    cert: list[dict] = [{one: 1}] + [{} for _ in divisors]
     h = TermAccumulator(ring, f.terms)
-    reducers = [_Reducer(g, i, None, None) for i, g in enumerate(divisors)]
+    reducers = [_Reducer(g, {i + 1: {one: p - 1}}, ecart(g)) for i, g in enumerate(divisors)]
     recorded = 0
     steps = 0
 
@@ -150,9 +153,8 @@ def weak_normal_form(
             h_ecart = h.ecart()
             if g.ecart > h_ecart:
                 snapshot = h.to_poly()
-                reducers.append(
-                    _Reducer(snapshot, None, dict(unit), tuple(dict(a) for a in coeffs))
-                )
+                snapshot_cert = {j: dict(c) for j, c in enumerate(cert) if c}
+                reducers.append(_Reducer(snapshot, snapshot_cert, h_ecart))
                 recorded += 1
                 if trace:
                     trace(f"record intermediate {snapshot!s} (ecart {h_ecart} < {g.ecart})")
@@ -160,20 +162,16 @@ def weak_normal_form(
         qm = monomials.quotient(lm, g.lm)
         if trace:
             trace(f"reduce {ring.term(lc, lm)!s} by {g.poly!s}")
-        if g.index is not None:
-            _add_multiple(coeffs[g.index], qc, qm, one, p)
-        else:
-            # q has monomial < 1 under a local order (lm strictly dropped
-            # since g was recorded), so the unit's leading term 1 survives.
-            _add_multiple(unit, -qc, qm, g.unit, p)
-            for a, b in zip(coeffs, g.coeffs):
-                _add_multiple(a, -qc, qm, b, p)
+        # Only a recorded g carries position 0, and then q has monomial < 1
+        # (lm strictly dropped since g was recorded), so lt(u) = 1 survives.
+        for j, c in g.cert.items():
+            _add_multiple(cert[j], -qc, qm, c, p)
         h.add_multiple(-qc, qm, g.poly)
 
     result = WeakNormalForm(
         h.to_poly(),
-        ring._from_dict(unit),
-        tuple(ring._from_dict(a) for a in coeffs),
+        ring._from_dict(cert[0]),
+        tuple(ring._from_dict(a) for a in cert[1:]),
         recorded,
     )
     _check_certificate(f, divisors, result)

@@ -15,6 +15,10 @@ print_poly emits the canonical form: terms strictly descending under the
 polynomial's order, coefficients in [1, p), a coefficient of 1 elided,
 '^1' elided, variables juxtaposed, and terms joined by '+'. The zero
 polynomial prints as "0".
+
+content_lines is the line reader both file formats share (the generator
+matrix and the nf basis file): '#' starts a comment, blank lines are
+skipped.
 """
 
 from __future__ import annotations
@@ -158,6 +162,16 @@ class _Parser:
             self.advance()
             exponent = value
         mono[index - 1] += exponent
+
+
+def content_lines(text: str) -> list[str]:
+    """The stripped non-blank lines of a file, with '#' comments removed."""
+    lines = []
+    for raw in text.splitlines():
+        stripped = raw.split("#", 1)[0].strip()
+        if stripped:
+            lines.append(stripped)
+    return lines
 
 
 def parse_poly(text: str, ring: Ring) -> Polynomial:

@@ -136,13 +136,6 @@ class Polynomial:
         return self.leading_term[1]
 
     @property
-    def tail(self) -> Polynomial:
-        """Everything below the leading term."""
-        if not self.terms:
-            raise ValueError("the zero polynomial has no tail")
-        return Polynomial(self.ring, self.terms[1:])
-
-    @property
     def degree(self) -> int:
         """Max total degree over all terms; undefined for the zero polynomial."""
         if not self.terms:

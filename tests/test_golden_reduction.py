@@ -7,6 +7,13 @@ pin the divisor selection (first match for divide, minimal ecart with
 earliest insertion for Mora) and the recording rule, so a faster reduction
 core must reproduce them exactly. The digest is over the full trace text.
 
+Each GOLDEN_CERTIFICATE row pins the certificate of a local GOLDEN row: the
+digest of print_poly(unit) and the digest of print_poly(a_i) for each
+divisor. They were printed by the weak normal form that kept two cofactor
+rules (a single-term update for an original divisor, a snapshot update for
+a recorded intermediate), before every reducer carried one certificate
+vector, so the single update rule must reproduce u and the a_i exactly.
+
 Each GOLDEN_COMPLETION row is a seeded ideal completed by the unreduced
 groebner (global orders) or by standard_basis (local order) with a trace.
 The expected length and digest of the printed basis plus trace were printed
@@ -56,6 +63,26 @@ GOLDEN = [
 ]
 
 
+GOLDEN_CERTIFICATE = [
+    (15, '7e8239c954ca47ac', ('d4735e3a265e16ee', '356d6fe79e99b872', 'de0be761322dedda')),
+    (17, '737f9e0d938c4889', ('7d54e19e68b90586', '5feceb66ffc86f38')),
+    (18, '6b86b273ff34fce1', ('6b86b273ff34fce1', '35a7a10b92a5f725', 'da568eb2c6c64aa0')),
+    (21, '6b86b273ff34fce1', ('69ffdaf64cef8788', '6b86b273ff34fce1')),
+    (25, '6b86b273ff34fce1', ('d5eb9c331f3e9def',)),
+    (30, '28192d5459860d3b', ('d52acda9f1124448', 'b630533f0c92f0ba', 'caa10c24e0c52fab')),
+    (32, '4ebf22eb37ae00be', ('7431d9cb92cbcf46', 'c8cea367cb6ef3cd')),
+    (37, '4cae1c17a14e9bcb', ('4eb50bc5ca3aa2aa', '09d9cf35adaf144b', '4ca2363f9254c0e9')),
+    (38, '16c3560d89d200af', ('7cf5c4c74181e5b3', '5feceb66ffc86f38')),
+    (40, 'a409af1528e17462', ('5feceb66ffc86f38', '555fedf5c5074ae1')),
+    (44, '1f5141a8c05a637e', ('51b69fe7585deb03', '5feceb66ffc86f38', '039006b205962c7b')),
+    (46, '0b937ed25b2d07e3', ('ec29ba1c3f473c2b',)),
+]
+
+
+def digest(f):
+    return hashlib.sha256(print_poly(f).encode()).hexdigest()[:16]
+
+
 def local_instance(seed):
     rng = random.Random(seed)
     ring = Ring(rng.choice((2, 3, 5, 7)), rng.randint(2, 4), Order.NEGDEGLEX)
@@ -86,6 +113,13 @@ def test_golden_reduction(kind, seed, normal_form, recorded, steps, digest):
     assert got == (normal_form, recorded)
     assert sum(line.startswith("reduce ") for line in lines) == steps
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("seed, unit, coefficients", GOLDEN_CERTIFICATE)
+def test_golden_certificate(seed, unit, coefficients):
+    f, divs = local_instance(seed)
+    result = weak_normal_form(f, divs)
+    assert (digest(result.unit), tuple(map(digest, result.coefficients))) == (unit, coefficients)
 
 
 GOLDEN_COMPLETION = [

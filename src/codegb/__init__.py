@@ -27,7 +27,7 @@ from .mora import (
     weak_normal_form,
 )
 from .parsing import ParseError, parse_poly, print_poly
-from .poly import Polynomial, Ring, ecart, reduce_step, s_polynomial
+from .poly import Polynomial, Ring, ecart, s_polynomial
 
 __all__ = [
     "BasisCheck",
@@ -57,7 +57,6 @@ __all__ = [
     "product_criterion",
     "random_matrix",
     "reduce_basis",
-    "reduce_step",
     "rref",
     "s_polynomial",
     "standard_basis",

@@ -22,7 +22,7 @@ def product_criterion(f: Polynomial, g: Polynomial) -> bool:
     """True when lcm(lm f, lm g) = lm(f)*lm(g); such pairs need no reduction."""
     if f.is_zero or g.is_zero:
         raise ValueError("product criterion needs nonzero polynomials")
-    return all(x == 0 or y == 0 for x, y in zip(f.leading_monomial, g.leading_monomial))
+    return monomials.coprime(f.leading_monomial, g.leading_monomial, f.ring.encoding)
 
 
 def _prepare(gens: Iterable[Polynomial]) -> list[Polynomial]:
@@ -49,7 +49,7 @@ def complete(
     def queue_pairs(j: int) -> None:
         lm = basis[j].leading_monomial
         for i in range(j):
-            gamma = monomials.lcm(basis[i].leading_monomial, lm)
+            gamma = monomials.lcm(basis[i].leading_monomial, lm, ring.encoding)
             heapq.heappush(pairs, (ring.key(gamma), i, j))
 
     for j in range(len(basis)):
@@ -104,9 +104,10 @@ def minimalize(basis: Sequence[Polynomial]) -> list[Polynomial]:
     if not candidates:
         return []
     ring = candidates[0].ring
-    candidates.sort(key=lambda g: (monomials.degree(g.leading_monomial), ring.key(g.leading_monomial)))
+    candidates.sort(key=lambda g: (ring.degree(g.leading_monomial), ring.key(g.leading_monomial)))
     for g in candidates:
-        if not any(monomials.divides(k.leading_monomial, g.leading_monomial) for k in kept):
+        lm = g.leading_monomial
+        if not any(monomials.divides(k.leading_monomial, lm, ring.guards) for k in kept):
             kept.append(g.monic())
     kept.sort(key=lambda g: ring.key(g.leading_monomial), reverse=True)
     return kept

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import product
 from typing import Sequence
 
+from . import monomials
 from .gfp import is_prime
 from .monomials import Order, variable
 from .mora import BasisCheck, is_standard_basis
@@ -216,25 +216,25 @@ def closed_form_basis(G: GeneratorMatrix) -> list[Polynomial]:
     with binomial coefficients reduced mod p; an empty support leaves the
     bare X_i. The free columns contribute the pure powers X_i^p. All
     elements are bound to the negative degree lexicographic order.
+
+    The terms are built as words directly: the word of a product of powers
+    is the sum of t_h times the word of X_(j_h), one factor at a time. No
+    coefficient is 0 mod p, since every cap is below p, and no two terms
+    share a monomial, so the word -> coefficient dict needs no merging.
     """
     ring = Ring(G.p, G.n, Order.NEGDEGLEX)
-    field = ring.field
+    p, binom, encode = G.p, ring.field.binom, ring.encoding.encode
     out = []
     for i in range(1, G.k + 1):
         mi = mi_vector(G, i)
-        caps = [mi.values[j - 1] for j in mi.support]
-        terms = [(1, variable(i, G.n))]
-        for exponents in product(*(range(c + 1) for c in caps)):
-            if not any(exponents):
-                continue
-            coeff = 1
-            for cap, t in zip(caps, exponents):
-                coeff = coeff * field.binom(cap, t) % G.p
-            mono = [0] * G.n
-            for j, t in zip(mi.support, exponents):
-                mono[j - 1] = t
-            terms.append(((G.p - coeff) % G.p, tuple(mono)))
-        out.append(ring.poly(terms))
+        terms = [(1, monomials.ONE)]
+        for j in mi.support:
+            cap, x = mi.values[j - 1], encode(variable(j, G.n))
+            powers = [(binom(cap, t), t * x) for t in range(cap + 1)]
+            terms = [(c * b % p, m + xt) for c, m in terms for b, xt in powers]
+        acc = {m: p - c for c, m in terms[1:]}  # terms[0] is the constant 1
+        acc[encode(variable(i, G.n))] = 1
+        out.append(ring._from_dict(acc))
     for i in range(G.k + 1, G.n + 1):
         power = tuple(G.p if j == i - 1 else 0 for j in range(G.n))
         out.append(ring.term(1, power))
@@ -285,15 +285,14 @@ def verify_closed_form(G: GeneratorMatrix, *, drop_index: int | None = None) -> 
         detail = check.detail
 
     ring = Ring(G.p, G.n, Order.NEGDEGLEX)
-    expected = {variable(i, G.n) for i in range(1, G.k + 1)}
-    expected |= {
-        tuple(G.p if j == i - 1 else 0 for j in range(G.n)) for i in range(G.k + 1, G.n + 1)
-    }
+    encode = ring.encoding.encode
+    expected = {encode(variable(i, G.n)) for i in range(1, G.k + 1)}
+    expected |= {G.p * encode(variable(i, G.n)) for i in range(G.k + 1, G.n + 1)}
     actual = {f.leading_monomial for f in closed}
     leading_ok = actual == expected
     if not leading_ok and not detail:
         diff = actual.symmetric_difference(expected)
-        detail = f"leading-term set differs at {ring.term(1, next(iter(diff)))!s}"
+        detail = f"leading-term set differs at {Polynomial(ring, ((1, next(iter(diff))),))!s}"
 
     return VerificationReport(generators_match, bool(check), leading_ok, detail)
 

@@ -7,8 +7,10 @@ well-order on monomials, so the loop always terminates.
 
 The dividend being reduced lives in a poly.TermAccumulator, not in a
 Polynomial, so a step costs O(|g| log |h|) for a divisor g and the current
-dividend h. Leading monomials strictly decrease from step to step, so the
-quotient and remainder terms come out already sorted and distinct.
+dividend h. Monomials are the ring's packed words (see monomials), so the
+divisibility test and the quotient are one subtraction and one mask each.
+Leading monomials strictly decrease from step to step, so the quotient
+and remainder terms come out already sorted and distinct.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ def divide(
         if g.is_zero:
             raise ValueError("divisors must be nonzero")
 
+    guards = ring.guards
     leading = [g.leading_monomial for g in divisors]
     quotient_terms: list[list] = [[] for _ in divisors]
     remainder_terms = []
@@ -59,19 +62,19 @@ def divide(
     while h:
         lc, lm = h.leading_term()
         for idx, glm in enumerate(leading):
-            if monomials.divides(glm, lm):
+            if monomials.divides(glm, lm, guards):
                 g = divisors[idx]
                 qc = lc * ring.field.inv(g.leading_coefficient) % ring.p
-                qm = monomials.quotient(lm, glm)
+                qm = monomials.quotient(lm, glm, guards)
                 quotient_terms[idx].append((qc, qm))
                 h.add_multiple(-qc, qm, g)
                 if trace:
-                    trace(f"reduce {ring.term(lc, lm)!s} by divisor {idx}: {g!s}")
+                    trace(f"reduce {Polynomial(ring, ((lc, lm),))!s} by divisor {idx}: {g!s}")
                 break
         else:
             remainder_terms.append(h.pop_leading())
             if trace:
-                trace(f"move {ring.term(lc, lm)!s} to the remainder")
+                trace(f"move {Polynomial(ring, ((lc, lm),))!s} to the remainder")
 
     quotients = tuple(Polynomial(ring, tuple(terms)) for terms in quotient_terms)
     return DivisionResult(quotients, Polynomial(ring, tuple(remainder_terms)))

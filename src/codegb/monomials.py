@@ -1,20 +1,42 @@
-"""Exponent vectors and the four term orders.
+"""Packed monomials (words) and the four term orders.
 
-A monomial in n variables is a plain tuple of n non-negative ints. Orders
-compare monomials through sort keys, so bigger key means bigger monomial;
-all four are total orders compatible with monomial multiplication. The
-three global orders satisfy 1 < X_i for every variable, the negative
-degree lexicographic order satisfies 1 > X_i and is the local order every
-standard-basis routine runs under.
+A monomial in n variables is one Python int, a *word*, in the format of
+its ring's Encoding. The word holds n exponent fields of w bits each; the
+top bit of every field is a guard bit that stays clear, so an exponent is
+at most 2^(w-1) - 1. Above the fields sits the total degree D, added as
++D (deglex), subtracted as -D (negdeglex, degrevlex) or left out (lex).
+The variables fill the fields from the top, X_1 first, except under
+degrevlex, where X_n takes the top field. With this layout the sort key of
+every order is the word itself, or minus the word for degrevlex, and the
+heap key is minus the sort key:
+
+- lex compares the fields from X_1 down;
+- deglex compares D, then the fields from X_1 down;
+- negdeglex compares -D, then the fields from X_1 down;
+- degrevlex compares D, then the fields from X_n down, smaller first.
+
+All the monomial arithmetic is integer arithmetic on words. The product of
+two monomials is the sum of their words; a field that overflows sets its
+guard bit, and mul then raises ValueError instead of wrapping. a divides b
+exactly when (b - a) & guards is 0: a field of b - a that would be
+negative borrows from above and so sets its own guard bit. The quotient is
+b - a, and the monomial 1 is the word 0 in every ring. Tuples of
+exponents appear only at the edges, through Encoding.encode and
+Encoding.decode, which pack the fields with struct in one C call.
+
+The field width w is the smallest of 16, 32 and 64 bits whose exponent
+range exceeds 2p: the closed forms and translated generators of codes over
+F_p need exponents up to p and S-polynomials up to 2p. Larger moduli use 64
+bits.
 """
 
 from __future__ import annotations
 
+import struct
 from enum import Enum
-from operator import add, le, neg, sub
-from typing import Callable
+from operator import neg, pos
 
-Monomial = tuple[int, ...]
+ONE = 0  # the word of the monomial 1 in every encoding
 
 
 class Order(Enum):
@@ -29,85 +51,120 @@ class Order(Enum):
         return self is Order.NEGDEGLEX
 
 
-def sort_key(order: Order) -> Callable[[Monomial], tuple]:
-    """Key function realizing the order: key(a) > key(b) iff a > b."""
-    if order is Order.LEX:
-        return lambda m: m
-    if order is Order.DEGLEX:
-        return lambda m: (sum(m), m)
-    if order is Order.DEGREVLEX:
-        return lambda m: (sum(m), tuple(-e for e in reversed(m)))
-    if order is Order.NEGDEGLEX:
-        return lambda m: (-sum(m), m)
-    raise ValueError(f"unknown order {order}")
+class Encoding:
+    """The word format of one ring: field width, guard bits, field order, degree.
+
+    key(word) > key(other) iff word is the larger monomial under the order,
+    and heap_key = -key, so heapq's minimum is the order's maximum. Both
+    are their own inverses. descending tells whether the order's descending
+    sequence of monomials is descending as ints (False only for degrevlex).
+    """
+
+    __slots__ = (
+        "n", "width", "bound", "guards", "shift", "degree_unit", "key", "heap_key",
+        "descending", "degree", "_struct", "_byteorder",
+    )
+
+    def __init__(self, p: int, n: int, order: Order):
+        # the smallest width w with 2^(w-1) > 2p, that is p < 2^(w-2)
+        width = self.width = 16 if p < 1 << 14 else 32 if p < 1 << 30 else 64
+        shift = self.shift = n * width
+        self.n = n
+        self.bound = (1 << (width - 1)) - 1
+        ones = ((1 << shift) - 1) // ((1 << width) - 1)  # a 1 at the bottom of every field
+        self.guards = ones << (width - 1)
+        # degrevlex packs X_1 into the lowest field; the others pack X_1 into the top one
+        self.descending = order is not Order.DEGREVLEX
+        self.key, self.heap_key = (pos, neg) if self.descending else (neg, pos)
+        self._byteorder = "big" if self.descending else "little"
+        code = {16: "H", 32: "I", 64: "Q"}[width]
+        self._struct = struct.Struct(f"{'>' if self.descending else '<'}{n}{code}")
+        if order is Order.LEX:
+            self.degree_unit = 0
+            self.degree = lambda word: sum(self.decode(word))
+        elif order is Order.DEGLEX:
+            self.degree_unit = 1 << shift
+            self.degree = lambda word: word >> shift
+        else:
+            self.degree_unit = -(1 << shift)
+            self.degree = lambda word: -(word >> shift)
+
+    def encode(self, exponents) -> int:
+        """The word of a sequence of n non-negative exponents; ValueError otherwise."""
+        try:
+            fields = int.from_bytes(self._struct.pack(*exponents), self._byteorder)
+        except struct.error:
+            fields = self.guards
+        if fields & self.guards:
+            self._refuse(tuple(exponents))
+        return fields + self.degree_unit * sum(exponents)
+
+    def _refuse(self, mono: tuple) -> None:
+        if len(mono) != self.n:
+            raise ValueError(f"monomial {mono} has {len(mono)} exponents, expected {self.n}")
+        if any(e < 0 for e in mono):
+            raise ValueError(f"negative exponent in monomial {mono}")
+        raise ValueError(
+            f"exponent {max(mono)} in monomial {mono} exceeds {self.bound}, "
+            "the largest exponent of this ring"
+        )
+
+    def decode(self, word: int) -> tuple[int, ...]:
+        """The exponent tuple of a word."""
+        mask = (1 << self.shift) - 1
+        return self._struct.unpack((word & mask).to_bytes(self.shift // 8, self._byteorder))
 
 
-def heap_key(order: Order) -> Callable[[Monomial], tuple]:
-    """Key function with key(a) < key(b) iff a > b: heapq's minimum is the order's maximum."""
-    if order is Order.LEX:
-        return lambda m: tuple(map(neg, m))
-    if order is Order.DEGLEX:
-        return lambda m: (-sum(m), tuple(map(neg, m)))
-    if order is Order.DEGREVLEX:
-        return lambda m: (-sum(m), m[::-1])
-    if order is Order.NEGDEGLEX:
-        return lambda m: (sum(m), tuple(map(neg, m)))
-    raise ValueError(f"unknown order {order}")
+def check(product: int, guards: int) -> None:
+    """Raise ValueError if an exponent of a product overflowed into its guard bit.
+
+    The OR of many products has a guard bit set iff one of them has, so a
+    loop may test the OR of all its products once.
+    """
+    if product & guards:
+        bound = (guards & -guards) - 1
+        raise ValueError(f"exponent overflow: a product has an exponent above {bound}")
 
 
-def compare(order: Order, a: Monomial, b: Monomial) -> int:
-    """Total-order comparison: -1, 0 or 1. Zero only for identical vectors."""
-    if len(a) != len(b):
-        raise ValueError(f"monomial lengths differ: {len(a)} vs {len(b)}")
-    key = sort_key(order)
-    ka, kb = key(a), key(b)
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
+def mul(a: int, b: int, guards: int) -> int:
+    """The product of two monomials; ValueError if an exponent overflows."""
+    m = a + b
+    check(m, guards)
+    return m
 
 
-def degree(a: Monomial) -> int:
-    return sum(a)
-
-
-def mul(a: Monomial, b: Monomial) -> Monomial:
-    if len(a) != len(b):
-        raise ValueError(f"monomial lengths differ: {len(a)} vs {len(b)}")
-    return tuple(map(add, a, b))
-
-
-def divides(a: Monomial, b: Monomial) -> bool:
+def divides(a: int, b: int, guards: int) -> bool:
     """Componentwise a <= b."""
-    if len(a) != len(b):
-        raise ValueError(f"monomial lengths differ: {len(a)} vs {len(b)}")
-    return all(map(le, a, b))
+    return not (b - a) & guards
 
 
-def quotient(b: Monomial, a: Monomial) -> Monomial:
+def quotient(b: int, a: int, guards: int) -> int:
     """b / a for a divisor a of b."""
-    if len(a) != len(b):
-        raise ValueError(f"monomial lengths differ: {len(a)} vs {len(b)}")
-    q = tuple(map(sub, b, a))
-    if min(q, default=0) < 0:
-        raise ValueError(f"{a} does not divide {b}")
+    q = b - a
+    if q & guards:
+        raise ValueError("the monomial does not divide")
     return q
 
 
-def lcm(a: Monomial, b: Monomial) -> Monomial:
-    if len(a) != len(b):
-        raise ValueError(f"monomial lengths differ: {len(a)} vs {len(b)}")
-    return tuple(map(max, a, b))
+def lcm(a: int, b: int, encoding: Encoding) -> int:
+    return encoding.encode(tuple(map(max, encoding.decode(a), encoding.decode(b))))
 
 
-def one(n: int) -> Monomial:
-    """The constant monomial in n variables."""
+def coprime(a: int, b: int, encoding: Encoding) -> bool:
+    """True when no variable occurs in both a and b."""
+    # adding 2^(w-1) - 1 to a field sets its guard bit iff the field is nonzero
+    guards = encoding.guards
+    low = guards - (guards >> (encoding.width - 1))
+    return not (a + low) & (b + low) & guards
+
+
+def one(n: int) -> tuple[int, ...]:
+    """The exponents of the constant monomial in n variables."""
     return (0,) * n
 
 
-def variable(i: int, n: int) -> Monomial:
-    """The monomial X_i, with i in [1, n]."""
+def variable(i: int, n: int) -> tuple[int, ...]:
+    """The exponents of X_i, with i in [1, n]."""
     if not 1 <= i <= n:
         raise ValueError(f"variable index {i} out of range [1, {n}]")
     return tuple(1 if j == i - 1 else 0 for j in range(n))

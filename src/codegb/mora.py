@@ -22,11 +22,14 @@ c_j -= q*g.c_j to every position g carries, so one rule keeps u = c_0 and
 a_i = c_i exact whether g is an original divisor or a recorded intermediate.
 
 While the loop runs, h lives in a poly.TermAccumulator, so a step costs
-O(|g| log |h|) for the reducer g. The certificate entries are never read in
-leading-term order, so they are plain monomial -> coefficient dicts, copied
-when an intermediate is recorded and sorted into Polynomials once, at the
-end. The certificate check recomputes u*f - sum(a_i f_i) from the returned
-Polynomials alone, summing term products into one dict.
+O(|g| log |h|) for the reducer g. Monomials are the ring's packed words
+(see monomials): the reducer scan is one divides per candidate, and a
+reducer's ecart is read off its first and last terms. The certificate
+entries are never read in leading-term order, so they are plain word ->
+coefficient dicts, copied when an intermediate is recorded and sorted into
+Polynomials once, at the end. The certificate check recomputes
+u*f - sum(a_i f_i) from the returned Polynomials alone, summing term
+products into one dict.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from typing import Callable, Iterable, Sequence
 
 from . import monomials
 from .buchberger import _prepare, complete, minimalize
-from .monomials import Monomial
 from .poly import Polynomial, TermAccumulator, add_product, ecart, s_polynomial
 
 
@@ -68,30 +70,33 @@ class BasisCheck:
 class _Reducer:
     """A reduction candidate g = cert[0]*f - sum(cert[i+1]*f_i).
 
-    cert maps a position to a monomial -> coefficient dict and holds only
-    the nonzero positions: {i+1: {1: -1}} for the original divisor f_i, a
+    cert maps a position to a word -> coefficient dict and holds only
+    the nonzero positions: {i+1: {ONE: -1}} for the original divisor f_i, a
     snapshot of h's own vector for a recorded intermediate. The leading
-    monomial and the ecart are cached because every step scans every reducer.
+    term and the ecart are cached because every step scans every reducer.
     """
 
-    __slots__ = ("poly", "lm", "cert", "ecart")
+    __slots__ = ("poly", "lc", "lm", "cert", "ecart")
 
     def __init__(self, poly, cert, ecart):
         self.poly = poly
-        self.lm = poly.leading_monomial
+        self.lc, self.lm = poly.leading_term
         self.cert = cert
         self.ecart = ecart
 
 
-def _add_multiple(acc: dict, c: int, q: Monomial, terms: dict, p: int) -> None:
-    """Add c * q * t into acc for a monomial -> coefficient dict t, mod p."""
+def _add_multiple(acc: dict, c: int, q: int, terms: dict, p: int, guards: int) -> None:
+    """Add c * q * t into acc for a word -> coefficient dict t, mod p."""
+    seen = 0
     for m, tc in terms.items():
-        m = monomials.mul(m, q)
+        m += q
+        seen |= m
         v = (acc.get(m, 0) + c * tc) % p
         if v:
             acc[m] = v
         else:
             del acc[m]
+    monomials.check(seen, guards)
 
 
 def weak_normal_form(
@@ -125,8 +130,8 @@ def weak_normal_form(
         if g.is_zero:
             raise ValueError("divisors must be nonzero")
 
-    p = ring.p
-    one = monomials.one(ring.n)
+    p, guards = ring.p, ring.guards
+    one = monomials.ONE
     # h = cert[0]*f - sum(cert[i+1]*f_i), so cert[0] is u and cert[i+1] is a_i
     cert: list[dict] = [{one: 1}] + [{} for _ in divisors]
     h = TermAccumulator(ring, f.terms)
@@ -139,7 +144,7 @@ def weak_normal_form(
         # the earliest matching reducer of least ecart; none is below 0
         g = None
         for r in reducers:
-            if (g is None or r.ecart < g.ecart) and monomials.divides(r.lm, lm):
+            if (g is None or r.ecart < g.ecart) and monomials.divides(r.lm, lm, guards):
                 g = r
                 if not g.ecart:
                     break
@@ -158,14 +163,14 @@ def weak_normal_form(
                 recorded += 1
                 if trace:
                     trace(f"record intermediate {snapshot!s} (ecart {h_ecart} < {g.ecart})")
-        qc = lc * ring.field.inv(g.poly.leading_coefficient) % p
-        qm = monomials.quotient(lm, g.lm)
+        qc = lc * ring.field.inv(g.lc) % p
+        qm = monomials.quotient(lm, g.lm, guards)
         if trace:
-            trace(f"reduce {ring.term(lc, lm)!s} by {g.poly!s}")
+            trace(f"reduce {Polynomial(ring, ((lc, lm),))!s} by {g.poly!s}")
         # Only a recorded g carries position 0, and then q has monomial < 1
         # (lm strictly dropped since g was recorded), so lt(u) = 1 survives.
         for j, c in g.cert.items():
-            _add_multiple(cert[j], -qc, qm, c, p)
+            _add_multiple(cert[j], -qc, qm, c, p, guards)
         h.add_multiple(-qc, qm, g.poly)
 
     result = WeakNormalForm(
@@ -188,13 +193,13 @@ def _check_certificate(
     sorted, must be h term for term.
     """
     ring = f.ring
-    acc: dict[Monomial, int] = {}
+    acc: dict[int, int] = {}
     add_product(acc, 1, result.unit, f)
     for a, g in zip(result.coefficients, divisors):
         add_product(acc, -1, a, g)
     if ring._from_dict(acc) != result.normal_form:
         raise CertificateError("certificate identity u*f = sum(a_i f_i) + h violated")
-    if not result.unit or result.unit.leading_term != (1, monomials.one(ring.n)):
+    if not result.unit or result.unit.leading_term != (1, monomials.ONE):
         raise CertificateError("unit lost its leading term 1")
 
 
@@ -230,12 +235,11 @@ def is_standard_basis(candidate: Sequence[Polynomial], gens: Sequence[Polynomial
     normal form zero, and generation holds both ways (each generator
     reduces to zero against the candidate, and each candidate element
     reduces to zero against a standard basis computed from the
-    generators).
+    generators). An empty candidate is a standard basis of the zero ideal
+    only.
     """
     S = [f for f in candidate if f]
     G = [g for g in gens if g]
-    if not S or not G:
-        raise ValueError("candidate and generators must be nonzero sets")
 
     # generation first: it is cheap and fails fast when an element is missing
     for g in G:

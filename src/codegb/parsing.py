@@ -23,6 +23,8 @@ skipped.
 
 from __future__ import annotations
 
+from operator import getitem
+
 from .poly import Polynomial, Ring
 
 
@@ -181,15 +183,27 @@ def parse_poly(text: str, ring: Ring) -> Polynomial:
     return _Parser(text, ring).parse()
 
 
+class _Powers(dict):
+    """The text of X_i^e by exponent e: '' for 0, 'X_i' for 1; built on first use."""
+
+    def __init__(self, name: str):
+        super().__init__()
+        self.name = name
+
+    def __missing__(self, e: int) -> str:
+        text = self[e] = "" if not e else self.name if e == 1 else f"{self.name}^{e}"
+        return text
+
+
 def print_poly(f: Polynomial) -> str:
     """Canonical text form; parse_poly(print_poly(f)) == f."""
     if f.is_zero:
         return "0"
     parts = []
-    for coeff, mono in f.terms:
-        vars_part = "".join(
-            f"X{i + 1}" if e == 1 else f"X{i + 1}^{e}" for i, e in enumerate(mono) if e
-        )
+    exponents = f.ring.exponents
+    powers = [_Powers(f"X{i}") for i in range(1, f.ring.n + 1)]
+    for coeff, word in f.terms:
+        vars_part = "".join(map(getitem, powers, exponents(word)))
         if not vars_part:
             parts.append(str(coeff))
         elif coeff == 1:

@@ -2,17 +2,19 @@
 
 A Polynomial is a strictly descending sequence of (coefficient, monomial)
 terms under its ring's order, with no zero coefficients and no repeated
-monomials; the zero polynomial is the empty sequence. Polynomials never
-leave their ring implicitly: leading-term queries are only meaningful for
-a fixed order, so rebinding to another order is the explicit
-Ring.convert operation.
+monomials; the zero polynomial is the empty sequence. Every monomial is a
+word, one int in the format of the ring's monomials.Encoding: Ring.poly and
+Ring.term take exponent tuples, and Ring.exponents(word) gives them back.
+Polynomials never leave their ring implicitly: leading-term queries are
+only meaningful for a fixed order, so rebinding to another order is the
+explicit Ring.convert operation.
 
 Ring.poly is the normalizing constructor for raw, unsorted terms (a dict
-merge plus one sort). Sums and differences of Polynomials skip it: both
-operands are already sorted, so one linear merge of the two term sequences
-is enough. Reduction loops do not build a Polynomial per step at all; they
-keep the polynomial being reduced in a TermAccumulator. Products sum
-their term products into one monomial -> coefficient dict (add_product).
+merge plus one sort of the words). Sums and differences of Polynomials skip
+it: both operands are already sorted, so one linear merge of the two term
+sequences is enough. Reduction loops do not build a Polynomial per step at
+all; they keep the polynomial being reduced in a TermAccumulator. Products
+sum their term products into one word -> coefficient dict (add_product).
 
 Elements of the localized ring attached to a local order are never
 materialized as fractions here; units show up only as polynomial
@@ -22,20 +24,21 @@ certificates u with leading term 1 (see the mora module).
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from operator import add
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from . import monomials
 from .gfp import PrimeField
-from .monomials import Monomial, Order
+from .monomials import Order
 
-Term = tuple[int, Monomial]
+Term = tuple[int, int]
 
 
 class Ring:
     """Arithmetic context: F_p coefficients, n variables, one active order."""
 
-    __slots__ = ("p", "n", "order", "field", "key", "heap_key")
+    __slots__ = (
+        "p", "n", "order", "field", "encoding", "guards", "key", "heap_key", "degree", "exponents"
+    )
 
     def __init__(self, p: int, n: int, order: Order):
         if n < 1:
@@ -44,10 +47,17 @@ class Ring:
         self.p = p
         self.n = n
         self.order = order
-        self.key = monomials.sort_key(order)
-        self.heap_key = monomials.heap_key(order)
+        encoding = self.encoding = monomials.Encoding(p, n, order)
+        self.guards = encoding.guards
+        self.key = encoding.key
+        self.heap_key = encoding.heap_key
+        self.degree = encoding.degree
+        # the exponent tuple of a word: Ring.exponents(word)
+        self.exponents = encoding.decode
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, Ring):
             return NotImplemented
         return (self.p, self.n, self.order) == (other.p, other.n, other.order)
@@ -58,29 +68,28 @@ class Ring:
     def __repr__(self):
         return f"Ring(p={self.p}, n={self.n}, order={self.order.value})"
 
-    def poly(self, terms: Iterable[Term]) -> Polynomial:
-        """Build a polynomial from raw (coefficient, exponents) pairs.
+    def poly(self, terms: Iterable[tuple[int, Sequence[int]]]) -> Polynomial:
+        """Build a polynomial from raw (coefficient, exponent sequence) pairs.
 
         Duplicate monomials are merged, zero coefficients dropped, and the
-        result sorted strictly descending under the active order.
+        result sorted strictly descending under the active order. An
+        exponent above the ring's bound raises ValueError.
         """
-        acc: dict[Monomial, int] = {}
+        acc: dict[int, int] = {}
+        encode = self.encoding.encode
         for coeff, mono in terms:
-            mono = tuple(mono)
-            if len(mono) != self.n:
-                raise ValueError(f"monomial {mono} has {len(mono)} exponents, expected {self.n}")
-            if any(e < 0 for e in mono):
-                raise ValueError(f"negative exponent in monomial {mono}")
-            c = (acc.get(mono, 0) + coeff) % self.p
+            m = encode(mono)
+            c = (acc.get(m, 0) + coeff) % self.p
             if c:
-                acc[mono] = c
+                acc[m] = c
             else:
-                acc.pop(mono, None)
+                acc.pop(m, None)
         return self._from_dict(acc)
 
-    def _from_dict(self, acc: dict[Monomial, int]) -> Polynomial:
-        ordered = sorted(acc.items(), key=lambda item: self.key(item[0]), reverse=True)
-        return Polynomial(self, tuple((c, m) for m, c in ordered))
+    def _from_dict(self, acc: dict[int, int]) -> Polynomial:
+        """The polynomial of a word -> nonzero coefficient dict."""
+        ordered = sorted(acc, reverse=self.encoding.descending)
+        return Polynomial(self, tuple(zip(map(acc.__getitem__, ordered), ordered)))
 
     def zero(self) -> Polynomial:
         return Polynomial(self, ())
@@ -95,14 +104,14 @@ class Ring:
         """The polynomial X_i, with i in [1, n]."""
         return self.poly([(1, monomials.variable(i, self.n))])
 
-    def term(self, coeff: int, mono: Monomial) -> Polynomial:
+    def term(self, coeff: int, mono: Sequence[int]) -> Polynomial:
         return self.poly([(coeff, mono)])
 
     def convert(self, f: Polynomial) -> Polynomial:
         """Rebind a polynomial from a sibling ring (same p and n) to this order."""
         if (f.ring.p, f.ring.n) != (self.p, self.n):
             raise ValueError(f"cannot convert between {f.ring} and {self}")
-        return self.poly(f.terms)
+        return self.poly((c, f.ring.exponents(m)) for c, m in f.terms)
 
 
 class Polynomial:
@@ -132,15 +141,22 @@ class Polynomial:
         return self.leading_term[0]
 
     @property
-    def leading_monomial(self) -> Monomial:
+    def leading_monomial(self) -> int:
         return self.leading_term[1]
 
     @property
     def degree(self) -> int:
-        """Max total degree over all terms; undefined for the zero polynomial."""
+        """Max total degree over all terms; undefined for the zero polynomial.
+
+        Under the degree orders one term has it: the last under negdeglex,
+        the first under deglex and degrevlex. Only lex scans.
+        """
         if not self.terms:
             raise ValueError("the zero polynomial has no degree")
-        return max(sum(m) for _, m in self.terms)
+        ring = self.ring
+        if ring.order is Order.LEX:
+            return max(ring.degree(m) for _, m in self.terms)
+        return ring.degree(self.terms[-1 if ring.order.is_local else 0][1])
 
     def _check_ring(self, other: Polynomial) -> None:
         if self.ring != other.ring:
@@ -217,7 +233,7 @@ class Polynomial:
         self._check_ring(other)
         if not self.terms or not other.terms:
             return self.ring.zero()
-        acc: dict[Monomial, int] = {}
+        acc: dict[int, int] = {}
         add_product(acc, 1, self, other)
         return self.ring._from_dict(acc)
 
@@ -235,19 +251,19 @@ class Polynomial:
             k >>= 1
         return result
 
-    def mul_term(self, coeff: int, mono: Monomial) -> Polynomial:
-        """Multiply by a single term.
+    def mul_term(self, coeff: int, mono: int) -> Polynomial:
+        """Multiply by a single term, given by its coefficient and word.
 
         Order compatibility with multiplication keeps the sorted layout, so
         no re-normalization is needed.
         """
-        p = self.ring.p
+        p, guards = self.ring.p, self.ring.guards
         c = coeff % p
         if c == 0 or not self.terms:
             return self.ring.zero()
+        mul = monomials.mul
         return Polynomial(
-            self.ring,
-            tuple(((tc * c) % p, monomials.mul(tm, mono)) for tc, tm in self.terms),
+            self.ring, tuple([((tc * c) % p, mul(tm, mono, guards)) for tc, tm in self.terms])
         )
 
     def monic(self) -> Polynomial:
@@ -274,82 +290,77 @@ class Polynomial:
         return f"Polynomial({self!s})"
 
 
-def add_product(acc: dict[Monomial, int], c: int, a: Polynomial, b: Polynomial) -> None:
-    """Add c*a*b into a monomial -> coefficient dict, mod p; cancelled terms leave it."""
+def add_product(acc: dict[int, int], c: int, a: Polynomial, b: Polynomial) -> None:
+    """Add c*a*b into a word -> coefficient dict, mod p; cancelled terms leave it."""
     p = a.ring.p
+    seen = 0  # the OR of all products, for one guard test
     for c1, m1 in a.terms:
         c1 *= c
         for c2, m2 in b.terms:
-            m = monomials.mul(m1, m2)
+            m = m1 + m2
+            seen |= m
             v = (acc.get(m, 0) + c1 * c2) % p
             if v:
                 acc[m] = v
             else:
                 acc.pop(m, None)
+    monomials.check(seen, a.ring.guards)
 
 
 class TermAccumulator:
-    """A polynomial under reduction: a monomial -> coefficient dict plus a lazy heap.
+    """A polynomial under reduction: a word -> coefficient dict plus a lazy heap.
 
     Reduction loops read the leading term and add a term multiple c*q*g over
     and over; division.divide and mora.weak_normal_form keep the dividend h
     here (divide's quotients come out sorted and Mora's unit and cofactors
     are never read in order, so those are plain lists and dicts). Here
     add_multiple costs O(|g| log |h|) for the current sum h, where building
-    a new Polynomial would cost O(|h|) or more per step. The
-    heap orders monomials by the ring's heap_key, so its minimum is the
-    largest monomial; monomials whose coefficient cancelled stay in the heap
-    until they surface and are dropped there. A count of terms per total
-    degree makes ecart() cheap. to_poly() sorts once.
+    a new Polynomial would cost O(|h|) or more per step. The heap holds the
+    heap keys of the words, so its minimum is the largest monomial; words
+    whose coefficient cancelled stay in the heap until they surface and are
+    dropped there. to_poly() sorts once.
     """
 
-    __slots__ = ("ring", "coeffs", "heap", "degree_counts")
+    __slots__ = ("ring", "coeffs", "heap")
 
     def __init__(self, ring: Ring, terms: Iterable[Term]):
         """Start from normalized terms: nonzero coefficients, distinct monomials."""
         self.ring = ring
-        self.coeffs: dict[Monomial, int] = {m: c for c, m in terms}
-        self.heap = [(ring.heap_key(m), m) for m in self.coeffs]
+        self.coeffs: dict[int, int] = {m: c for c, m in terms}
+        self.heap = list(map(ring.heap_key, self.coeffs))
         heapify(self.heap)
-        self.degree_counts: list[int] = []
-        for m in self.coeffs:
-            self._count(sum(m), 1)
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def _count(self, degree: int, delta: int) -> None:
-        counts = self.degree_counts
-        if degree >= len(counts):
-            counts.extend([0] * (degree + 1 - len(counts)))
-        counts[degree] += delta
-
-    def add_multiple(self, c: int, q: Monomial, g: Polynomial) -> None:
-        """Add c * q * g for a coefficient c, a monomial q and a Polynomial g."""
-        p = self.ring.p
+    def add_multiple(self, c: int, q: int, g: Polynomial) -> None:
+        """Add c * q * g for a coefficient c, a word q and a Polynomial g."""
+        ring = self.ring
+        p = ring.p
         c %= p
         if not c:
             return
-        coeffs, heap, heap_key = self.coeffs, self.heap, self.ring.heap_key
+        coeffs, heap, heap_key = self.coeffs, self.heap, ring.heap_key
+        seen = 0
         for gc, gm in g.terms:
-            m = tuple(map(add, gm, q))
+            m = gm + q
+            seen |= m
             old = coeffs.get(m)
             if old is None:
                 coeffs[m] = c * gc % p
-                heappush(heap, (heap_key(m), m))
-                self._count(sum(m), 1)
+                heappush(heap, heap_key(m))
             else:
                 new = (old + c * gc) % p
                 if new:
                     coeffs[m] = new
                 else:
                     del coeffs[m]
-                    self.degree_counts[sum(m)] -= 1
+        monomials.check(seen, ring.guards)
 
     def leading_term(self) -> Term:
-        heap, coeffs = self.heap, self.coeffs
+        heap, coeffs, heap_key = self.heap, self.coeffs, self.ring.heap_key
         while heap:
-            m = heap[0][1]
+            m = heap_key(heap[0])
             c = coeffs.get(m)
             if c:
                 return c, m
@@ -361,36 +372,20 @@ class TermAccumulator:
         c, m = self.leading_term()
         heappop(self.heap)
         del self.coeffs[m]
-        self.degree_counts[sum(m)] -= 1
         return c, m
 
     def ecart(self) -> int:
         """deg(h) minus deg(lt(h)) for the nonzero accumulated polynomial h."""
-        lm = self.leading_term()[1]
-        counts = self.degree_counts
-        while not counts[-1]:
-            counts.pop()
-        return len(counts) - 1 - sum(lm)
+        ring, coeffs = self.ring, self.coeffs
+        # under the local order the smallest monomial has the largest degree
+        if ring.order.is_local:
+            top = ring.degree(min(coeffs, key=ring.key))
+        else:
+            top = max(map(ring.degree, coeffs))
+        return top - ring.degree(self.leading_term()[1])
 
     def to_poly(self) -> Polynomial:
         return self.ring._from_dict(self.coeffs)
-
-
-def reduce_step(f: Polynomial, g: Polynomial) -> Polynomial:
-    """One reduction of f by g: f minus the term multiple of g cancelling lt(f).
-
-    The leading monomial of the result is strictly below lm(f); under a
-    local order that means strictly *later* monomials can keep appearing,
-    which is why plain reduction loops may diverge there.
-    """
-    if f.is_zero or g.is_zero:
-        raise ValueError("reduction needs nonzero polynomials")
-    f._check_ring(g)
-    if not monomials.divides(g.leading_monomial, f.leading_monomial):
-        raise ValueError(f"lm of {g!s} does not divide lm of {f!s}")
-    qc = f.leading_coefficient * f.ring.field.inv(g.leading_coefficient)
-    qm = monomials.quotient(f.leading_monomial, g.leading_monomial)
-    return f - g.mul_term(qc, qm)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -398,13 +393,14 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     if f.is_zero or g.is_zero:
         raise ValueError("s-polynomial needs nonzero polynomials")
     f._check_ring(g)
-    gamma = monomials.lcm(f.leading_monomial, g.leading_monomial)
-    inv = f.ring.field.inv
-    return f.mul_term(
-        inv(f.leading_coefficient), monomials.quotient(gamma, f.leading_monomial)
-    ) - g.mul_term(inv(g.leading_coefficient), monomials.quotient(gamma, g.leading_monomial))
+    ring = f.ring
+    gamma = monomials.lcm(f.leading_monomial, g.leading_monomial, ring.encoding)
+    inv, guards = ring.field.inv, ring.guards
+    fq = monomials.quotient(gamma, f.leading_monomial, guards)
+    gq = monomials.quotient(gamma, g.leading_monomial, guards)
+    return f.mul_term(inv(f.leading_coefficient), fq) - g.mul_term(inv(g.leading_coefficient), gq)
 
 
 def ecart(f: Polynomial) -> int:
     """deg(f) minus deg(lt(f)); the divisor-selection key under local orders."""
-    return f.degree - monomials.degree(f.leading_monomial)
+    return f.degree - f.ring.degree(f.leading_monomial)

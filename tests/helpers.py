@@ -1,10 +1,14 @@
-"""Golden data and seeded random-instance generators shared across the tests."""
+"""Golden data, seeded random-instance generators and the tuple reference
+for the packed monomials, shared across the tests."""
 
 from __future__ import annotations
 
+from operator import add, le, sub
+
 from codegb import monomials
 from codegb.codes import random_matrix
-from codegb.poly import Polynomial, Ring, ecart, reduce_step
+from codegb.monomials import Order
+from codegb.poly import Polynomial, Ring, ecart
 
 EXAMPLE_MATRIX = """\
 p=3
@@ -96,7 +100,10 @@ def naive_reduction(f, divisors, budget):
     h = f
     steps = 0
     while h:
-        matching = [g for g in divisors if monomials.divides(g.leading_monomial, h.leading_monomial)]
+        guards = h.ring.guards
+        matching = [
+            g for g in divisors if monomials.divides(g.leading_monomial, h.leading_monomial, guards)
+        ]
         if not matching:
             break
         g = min(matching, key=ecart)
@@ -105,3 +112,84 @@ def naive_reduction(f, divisors, budget):
         if steps > budget:
             return h, steps, True
     return h, steps, False
+
+
+# -- tuple reference ----------------------------------------------------------
+# The textbook definitions on exponent tuples. The library packs monomials
+# into words (see codegb.monomials); the properties check it against these.
+
+
+def _same_length(a, b):
+    if len(a) != len(b):
+        raise ValueError(f"monomial lengths differ: {len(a)} vs {len(b)}")
+
+
+def ref_mul(a, b):
+    _same_length(a, b)
+    return tuple(map(add, a, b))
+
+
+def ref_divides(a, b):
+    _same_length(a, b)
+    return all(map(le, a, b))
+
+
+def ref_quotient(b, a):
+    _same_length(a, b)
+    q = tuple(map(sub, b, a))
+    if min(q, default=0) < 0:
+        raise ValueError(f"{a} does not divide {b}")
+    return q
+
+
+def ref_lcm(a, b):
+    _same_length(a, b)
+    return tuple(map(max, a, b))
+
+
+def ref_degree(a):
+    return sum(a)
+
+
+def ref_key(order):
+    """Key function realizing the order on tuples: key(a) > key(b) iff a > b."""
+    if order is Order.LEX:
+        return lambda m: m
+    if order is Order.DEGLEX:
+        return lambda m: (sum(m), m)
+    if order is Order.DEGREVLEX:
+        return lambda m: (sum(m), tuple(-e for e in reversed(m)))
+    if order is Order.NEGDEGLEX:
+        return lambda m: (-sum(m), m)
+    raise ValueError(f"unknown order {order}")
+
+
+def compare(order, a, b):
+    """Total-order comparison of exponent tuples: -1, 0 or 1. Zero only for identical vectors."""
+    _same_length(a, b)
+    key = ref_key(order)
+    ka, kb = key(a), key(b)
+    return (ka > kb) - (ka < kb)
+
+
+def reduce_step(f: Polynomial, g: Polynomial) -> Polynomial:
+    """One reduction of f by g: f minus the term multiple of g cancelling lt(f).
+
+    The leading monomial of the result is strictly below lm(f); under a
+    local order that means strictly *later* monomials can keep appearing,
+    which is why plain reduction loops may diverge there.
+    """
+    if f.is_zero or g.is_zero:
+        raise ValueError("reduction needs nonzero polynomials")
+    f._check_ring(g)
+    guards = f.ring.guards
+    if not monomials.divides(g.leading_monomial, f.leading_monomial, guards):
+        raise ValueError(f"lm of {g!s} does not divide lm of {f!s}")
+    qc = f.leading_coefficient * f.ring.field.inv(g.leading_coefficient)
+    qm = monomials.quotient(f.leading_monomial, g.leading_monomial, guards)
+    return f - g.mul_term(qc, qm)
+
+
+def exponent_terms(f: Polynomial):
+    """f's terms with each word decoded: (coefficient, exponent tuple) pairs."""
+    return tuple((c, f.ring.exponents(m)) for c, m in f.terms)

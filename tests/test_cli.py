@@ -222,3 +222,41 @@ def test_output_is_deterministic(capsys, matrix_file):
     first = run(capsys, "standard-basis", matrix_file)
     second = run(capsys, "standard-basis", matrix_file)
     assert first == second
+
+
+def test_verify_inject_drop_of_the_only_element_fails_the_checks(capsys, tmp_path):
+    # an n=1 code has a one-element closed form; dropping it is a valid negative control
+    matrix = tmp_path / "matrix.txt"
+    matrix.write_text("p=3\nk=1 n=1\n1\n")
+    code, out, err = run(capsys, "verify", str(matrix), "--inject-drop", "0")
+    assert (code, err) == (1, "")
+    assert out == (
+        "generators-match: FAIL\nstandard-basis: FAIL\nleading-terms: FAIL\n"
+        "detail: closed form missing element X1\n"
+    )
+
+
+def test_exponent_bound_follows_p(capsys, tmp_path):
+    basis = tmp_path / "basis.txt"
+    basis.write_text("p=3 n=2\nX2\n")
+    code, out, err = run(capsys, "nf", "X1^40000", str(basis))
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: exponent 40000 in monomial (40000, 0) exceeds 32767, "
+        "the largest exponent of this ring\n"
+    )
+    code, out, _ = run(capsys, "nf", "X1^32767", str(basis))
+    assert (code, out) == (0, "NF: X1^32767\n")
+    # a larger p gets 32-bit fields
+    basis.write_text("p=16411 n=2\nX2\n")
+    code, out, _ = run(capsys, "nf", "X1^40000", str(basis))
+    assert (code, out) == (0, "NF: X1^40000\n")
+
+
+def test_exponent_overflow_in_a_product_exits_2(capsys, tmp_path):
+    # the reducer X1^2 + X1^20000 times X1^19998 would need X1^39998 > 32767
+    basis = tmp_path / "basis.txt"
+    basis.write_text("p=3 n=1\nX1^2+X1^20000\n")
+    code, out, err = run(capsys, "nf", "X1^20000", str(basis), "--order", "negdeglex")
+    assert (code, out) == (2, "")
+    assert err == "error: exponent overflow: a product has an exponent above 32767\n"

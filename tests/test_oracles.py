@@ -14,14 +14,13 @@ from itertools import product
 import pytest
 import sympy
 
-from codegb import monomials
 from codegb.buchberger import groebner, reduce_basis
 from codegb.codes import lex_code_basis, random_matrix, translated_generators
 from codegb.monomials import Order
 from codegb.mora import standard_basis
 from codegb.poly import Ring
 
-from helpers import random_nonzero_poly
+from helpers import exponent_terms, random_nonzero_poly, ref_divides
 
 SYMPY_ORDER = {Order.LEX: "lex", Order.DEGLEX: "grlex", Order.DEGREVLEX: "grevlex"}
 
@@ -30,7 +29,8 @@ def sympy_reduced_basis(gens, ring):
     """sympy's reduced Groebner basis of gens, monic, as sorted term lists."""
     xs = sympy.symbols(f"X1:{ring.n + 1}")
     exprs = [
-        sum(c * sympy.prod(x**e for x, e in zip(xs, m)) for c, m in f.terms) for f in gens
+        sum(c * sympy.prod(x**e for x, e in zip(xs, m)) for c, m in exponent_terms(f))
+        for f in gens
     ]
     basis = sympy.groebner(exprs, *xs, modulus=ring.p, order=SYMPY_ORDER[ring.order])
     out = []
@@ -62,9 +62,9 @@ def count_standard_monomials(basis, p, n):
     no standard monomial outside the box, and a basis that misses X_i^p
     counts X_i^p as standard.
     """
-    leads = [f.leading_monomial for f in basis]
+    leads = [f.ring.exponents(f.leading_monomial) for f in basis]
     return sum(
-        not any(monomials.divides(lm, m) for lm in leads)
+        not any(ref_divides(lm, m) for lm in leads)
         for m in product(range(p + 1), repeat=n)
     )
 

@@ -19,7 +19,8 @@ def ring():
 def test_parse_prefix_of_known_polynomial(ring):
     f = parse_poly("X1+X4+X6+2X4^2", ring)
     assert len(f.terms) == 4
-    assert f.leading_monomial == (1, 0, 0, 0, 0, 0)
+    assert f.leading_monomial == ring.variable(1).leading_monomial
+    assert ring.exponents(f.leading_monomial) == (1, 0, 0, 0, 0, 0)
 
 
 def test_parse_zero(ring):

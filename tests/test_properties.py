@@ -1,9 +1,10 @@
 """Hypothesis properties of the term arithmetic and the two reduction loops.
 
-The monomial operations are checked against their componentwise
-definitions; merged add/sub and the TermAccumulator against Ring.poly, the
-normalizing constructor, as the reference; division and Mora reduction
-against their contracts.
+The packed monomial words are checked against the tuple reference in
+helpers, in all four orders and at all three field widths, up to the top of
+the exponent range; merged add/sub and the TermAccumulator against
+Ring.poly, the normalizing constructor, as the reference; division and Mora
+reduction against their contracts.
 """
 
 import pytest
@@ -15,6 +16,16 @@ from codegb.division import divide
 from codegb.monomials import Order, divides
 from codegb.mora import weak_normal_form
 from codegb.poly import Ring, TermAccumulator, ecart
+
+from helpers import (
+    compare,
+    exponent_terms,
+    ref_degree,
+    ref_divides,
+    ref_lcm,
+    ref_mul,
+    ref_quotient,
+)
 
 PRIMES = (2, 3, 5, 7)
 GLOBAL_ORDERS = (Order.LEX, Order.DEGLEX, Order.DEGREVLEX)
@@ -40,34 +51,64 @@ def nonzero_polys(draw, ring, **kwargs):
     return polys(draw, ring, **kwargs) or ring.variable(1)
 
 
+# one prime per field width: 16 bits up to p = 16381, 32 bits up to 2^30, then 64
+WIDTH_PRIMES = {16: (2, 7, 16381), 32: (16411, 1073741789), 64: (1073741827, 2**61 - 1)}
+
+
 @st.composite
 def monomial_pairs(draw):
-    n = draw(st.integers(1, 6))
-    exps = st.tuples(*[st.integers(0, 9)] * n)
-    return draw(exps), draw(exps)
+    width = draw(st.sampled_from(sorted(WIDTH_PRIMES)))
+    p = draw(st.sampled_from(WIDTH_PRIMES[width]))
+    ring = Ring(p, draw(st.integers(1, 6)), draw(st.sampled_from(list(Order))))
+    assert ring.encoding.width == width
+    bound = ring.encoding.bound
+    # small exponents meet often; exponents at the top of the range overflow in products
+    exponent = st.one_of(st.integers(0, 3), st.integers(bound - 3, bound), st.integers(0, bound))
+    exps = st.tuples(*[exponent] * ring.n)
+    return ring, draw(exps), draw(exps)
 
 
 @FAST
 @given(monomial_pairs())
 def test_monomial_ops_are_componentwise(args):
-    a, b = args
-    assert monomials.mul(a, b) == tuple(x + y for x, y in zip(a, b))
-    assert monomials.lcm(a, b) == tuple(max(x, y) for x, y in zip(a, b))
-    assert monomials.divides(a, b) == all(x <= y for x, y in zip(a, b))
-    if monomials.divides(a, b):
-        assert monomials.quotient(b, a) == tuple(y - x for x, y in zip(a, b))
+    ring, a, b = args
+    enc, guards = ring.encoding, ring.guards
+    wa, wb = enc.encode(a), enc.encode(b)
+    assert enc.decode(wa) == a and ring.exponents(wb) == b
+    assert (wa == wb) == (a == b)
+    ka, kb = ring.key(wa), ring.key(wb)
+    assert (ka > kb) - (ka < kb) == compare(ring.order, a, b)
+    assert ring.heap_key(wa) == -ring.key(wa)
+    assert ring.degree(wa) == ref_degree(a)
+    assert monomials.lcm(wa, wb, enc) == enc.encode(ref_lcm(a, b))
+    assert monomials.coprime(wa, wb, enc) == (not any(x and y for x, y in zip(a, b)))
+    assert monomials.divides(wa, wb, guards) == ref_divides(a, b)
+    if ref_divides(a, b):
+        assert monomials.quotient(wb, wa, guards) == enc.encode(ref_quotient(b, a))
     else:
         with pytest.raises(ValueError):
-            monomials.quotient(b, a)
-    assert monomials.quotient(monomials.mul(a, b), a) == b
+            monomials.quotient(wb, wa, guards)
+    product = ref_mul(a, b)
+    if max(product) <= enc.bound:
+        assert monomials.mul(wa, wb, guards) == enc.encode(product)
+        assert monomials.quotient(monomials.mul(wa, wb, guards), wa, guards) == wb
+    else:
+        with pytest.raises(ValueError, match=f"above {enc.bound}"):
+            monomials.mul(wa, wb, guards)
+        with pytest.raises(ValueError, match=f"exceeds {enc.bound}"):
+            enc.encode(product)
 
 
 @FAST
 @given(monomial_pairs(), st.integers(1, 3))
 def test_monomial_ops_reject_length_mismatch(args, extra):
-    a, b = args
+    ring, a, b = args
     longer = b + (0,) * extra
-    for op in (monomials.mul, monomials.divides, monomials.quotient, monomials.lcm):
+    with pytest.raises(ValueError, match="exponents, expected"):
+        ring.encoding.encode(longer)
+    with pytest.raises(ValueError, match="exponents, expected"):
+        ring.poly([(1, a[1:])])
+    for op in (ref_mul, ref_divides, ref_quotient, ref_lcm):
         with pytest.raises(ValueError):
             op(a, longer)
         with pytest.raises(ValueError):
@@ -85,8 +126,8 @@ def ring_and_pair(draw):
 def test_merge_add_sub_match_ring_poly(args):
     ring, f, g = args
     p = ring.p
-    assert f + g == ring.poly(f.terms + g.terms)
-    assert f - g == ring.poly(f.terms + tuple((p - c, m) for c, m in g.terms))
+    assert f + g == ring.poly(exponent_terms(f) + exponent_terms(g))
+    assert f - g == ring.poly(exponent_terms(f) + tuple((p - c, m) for c, m in exponent_terms(g)))
     assert g + f == f + g
 
 
@@ -104,8 +145,8 @@ def test_merge_full_cancellation(args):
 def test_merge_with_int_operands(args, k):
     ring, f, _ = args
     const = ring.poly([(k, monomials.one(ring.n))])
-    assert f + k == k + f == ring.poly(f.terms + const.terms)
-    assert f - k == ring.poly(f.terms + ((-k, monomials.one(ring.n)),))
+    assert f + k == k + f == ring.poly(exponent_terms(f) + exponent_terms(const))
+    assert f - k == ring.poly(exponent_terms(f) + ((-k, monomials.one(ring.n)),))
 
 
 @FAST
@@ -135,7 +176,7 @@ def accumulator_runs(draw):
         )
     )
     gs = [polys(draw, ring, max_terms=4) for _ in range(4)]
-    return ring, start, [(c, q, gs[i]) for c, q, i in steps]
+    return ring, start, [(c, ring.encoding.encode(q), gs[i]) for c, q, i in steps]
 
 
 @FAST
@@ -178,7 +219,7 @@ def test_divide_contract(args):
             assert f.ring.key((q * g).leading_monomial) <= f.ring.key(f.leading_monomial)
     assert total == f
     for _, m in result.remainder.terms:
-        assert not any(divides(g.leading_monomial, m) for g in divisors)
+        assert not any(divides(g.leading_monomial, m, f.ring.guards) for g in divisors)
 
 
 @st.composite
@@ -203,7 +244,7 @@ def test_mora_certificate_identity(args):
     for a, g in zip(result.coefficients, divisors):
         acc = acc - a * g
     assert acc == result.normal_form
-    assert result.unit.leading_term == (1, monomials.one(f.ring.n))
+    assert result.unit.leading_term == (1, monomials.ONE)
     if result.normal_form:
         lm = result.normal_form.leading_monomial
-        assert not any(divides(g.leading_monomial, lm) for g in divisors)
+        assert not any(divides(g.leading_monomial, lm, f.ring.guards) for g in divisors)

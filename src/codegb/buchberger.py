@@ -20,9 +20,9 @@ from .poly import Polynomial, s_polynomial
 
 def product_criterion(f: Polynomial, g: Polynomial) -> bool:
     """True when lcm(lm f, lm g) = lm(f)*lm(g); such pairs need no reduction."""
-    if f.is_zero or g.is_zero:
+    if not f.terms or not g.terms:
         raise ValueError("product criterion needs nonzero polynomials")
-    return monomials.coprime(f.leading_monomial, g.leading_monomial, f.ring.encoding)
+    return monomials.coprime(f.terms[0][1], g.terms[0][1], f.ring.encoding)
 
 
 def _prepare(gens: Iterable[Polynomial]) -> list[Polynomial]:
@@ -47,9 +47,9 @@ def complete(
     pairs: list[tuple] = []
 
     def queue_pairs(j: int) -> None:
-        lm = basis[j].leading_monomial
+        lm = basis[j].terms[0][1]
         for i in range(j):
-            gamma = monomials.lcm(basis[i].leading_monomial, lm, ring.encoding)
+            gamma = monomials.lcm(basis[i].terms[0][1], lm, ring.encoding)
             heapq.heappush(pairs, (ring.key(gamma), i, j))
 
     for j in range(len(basis)):

@@ -104,12 +104,14 @@ def cmd_verify(args) -> int:
             raise ValueError(f"--random needs N >= 1, got {args.random}")
         if args.inject_drop is not None:
             raise ValueError("--inject-drop needs a matrix file; it does not apply to --random")
+    elif args.seed is not None:
+        raise ValueError("--seed needs --random; it does not apply to a matrix file")
     if args.matrix is not None:
         G = parse_matrix(_read(args.matrix))
         report = verify_closed_form(G, drop_index=args.inject_drop)
         _print_report(report)
         return 0 if report.ok else 1
-    rng = random.Random(args.seed)
+    rng = random.Random(0 if args.seed is None else args.seed)
     failures = 0
     for index in range(args.random):
         p = rng.choice((2, 3, 5))
@@ -180,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="drop one closed-form element first (negative control)",
     )
     p_ver.add_argument("--random", type=int, metavar="N", help="verify N random matrices")
-    p_ver.add_argument("--seed", type=int, default=0, help="seed for --random")
+    p_ver.add_argument("--seed", type=int, help="seed for --random")
     p_ver.set_defaults(func=cmd_verify)
 
     p_nf = sub.add_parser("nf", help="normal form of a polynomial against a basis file")

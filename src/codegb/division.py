@@ -11,6 +11,13 @@ dividend h. Monomials are the ring's packed words (see monomials), so the
 divisibility test and the quotient are one subtraction and one mask each.
 Leading monomials strictly decrease from step to step, so the quotient
 and remainder terms come out already sorted and distinct.
+
+A call's fixed cost is one pass over the divisors: a ring identity test
+(equal but distinct rings still pass, through Polynomial._check_ring), a
+zero test and a read of the leading word from g.terms. Quotient terms are
+collected only for divisors that reduce; the others share one zero
+Polynomial. In Buchberger's loop, where a binomial divides in one or two
+steps by some twenty divisors, that set-up is most of a call.
 """
 
 from __future__ import annotations
@@ -50,23 +57,24 @@ def divide(
         )
     divisors = list(divisors)
     for g in divisors:
-        f._check_ring(g)
-        if g.is_zero:
+        if g.ring is not ring:
+            f._check_ring(g)
+        if not g.terms:
             raise ValueError("divisors must be nonzero")
 
-    guards = ring.guards
-    leading = [g.leading_monomial for g in divisors]
-    quotient_terms: list[list] = [[] for _ in divisors]
+    divides, guards, inv, p = monomials.divides, ring.guards, ring.field.inv, ring.p
+    leading = [g.terms[0][1] for g in divisors]
+    quotient_terms: dict[int, list] = {}
     remainder_terms = []
     h = TermAccumulator(ring, f.terms)
     while h:
         lc, lm = h.leading_term()
         for idx, glm in enumerate(leading):
-            if monomials.divides(glm, lm, guards):
+            if divides(glm, lm, guards):
                 g = divisors[idx]
-                qc = lc * ring.field.inv(g.leading_coefficient) % ring.p
+                qc = lc * inv(g.terms[0][0]) % p
                 qm = monomials.quotient(lm, glm, guards)
-                quotient_terms[idx].append((qc, qm))
+                quotient_terms.setdefault(idx, []).append((qc, qm))
                 h.add_multiple(-qc, qm, g)
                 if trace:
                     trace(f"reduce {Polynomial(ring, ((lc, lm),))!s} by divisor {idx}: {g!s}")
@@ -76,5 +84,7 @@ def divide(
             if trace:
                 trace(f"move {Polynomial(ring, ((lc, lm),))!s} to the remainder")
 
-    quotients = tuple(Polynomial(ring, tuple(terms)) for terms in quotient_terms)
-    return DivisionResult(quotients, Polynomial(ring, tuple(remainder_terms)))
+    quotients = [ring.zero()] * len(divisors)
+    for idx, terms in quotient_terms.items():
+        quotients[idx] = Polynomial(ring, tuple(terms))
+    return DivisionResult(tuple(quotients), Polynomial(ring, tuple(remainder_terms)))

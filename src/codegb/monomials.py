@@ -17,12 +17,14 @@ heap key is minus the sort key:
 
 All the monomial arithmetic is integer arithmetic on words. The product of
 two monomials is the sum of their words; a field that overflows sets its
-guard bit, and mul then raises ValueError instead of wrapping. a divides b
+guard bit, and check then raises ValueError instead of wrapping. a divides b
 exactly when (b - a) & guards is 0: a field of b - a that would be
 negative borrows from above and so sets its own guard bit. The quotient is
-b - a, and the monomial 1 is the word 0 in every ring. Tuples of
-exponents appear only at the edges, through Encoding.encode and
-Encoding.decode, which pack the fields with struct in one C call.
+b - a, and the monomial 1 is the word 0 in every ring. The lcm takes the
+larger exponent of every field with one more guard-bit subtraction and
+decodes only its result, for the degree. Tuples of exponents appear
+otherwise only at the edges, through Encoding.encode and Encoding.decode,
+which pack the fields with struct in one C call.
 
 The field width w is the smallest of 16, 32 and 64 bits whose exponent
 range exceeds 2p: the closed forms and translated generators of codes over
@@ -61,7 +63,7 @@ class Encoding:
     """
 
     __slots__ = (
-        "n", "width", "bound", "guards", "shift", "degree_unit", "key", "heap_key",
+        "n", "width", "bound", "guards", "fields", "shift", "degree_unit", "key", "heap_key",
         "descending", "degree", "_struct", "_byteorder",
     )
 
@@ -71,7 +73,8 @@ class Encoding:
         shift = self.shift = n * width
         self.n = n
         self.bound = (1 << (width - 1)) - 1
-        ones = ((1 << shift) - 1) // ((1 << width) - 1)  # a 1 at the bottom of every field
+        self.fields = (1 << shift) - 1  # the mask of the exponent fields, below the degree
+        ones = self.fields // ((1 << width) - 1)  # a 1 at the bottom of every field
         self.guards = ones << (width - 1)
         # degrevlex packs X_1 into the lowest field; the others pack X_1 into the top one
         self.descending = order is not Order.DEGREVLEX
@@ -111,8 +114,7 @@ class Encoding:
 
     def decode(self, word: int) -> tuple[int, ...]:
         """The exponent tuple of a word."""
-        mask = (1 << self.shift) - 1
-        return self._struct.unpack((word & mask).to_bytes(self.shift // 8, self._byteorder))
+        return self._struct.unpack((word & self.fields).to_bytes(self.shift // 8, self._byteorder))
 
 
 def check(product: int, guards: int) -> None:
@@ -124,13 +126,6 @@ def check(product: int, guards: int) -> None:
     if product & guards:
         bound = (guards & -guards) - 1
         raise ValueError(f"exponent overflow: a product has an exponent above {bound}")
-
-
-def mul(a: int, b: int, guards: int) -> int:
-    """The product of two monomials; ValueError if an exponent overflows."""
-    m = a + b
-    check(m, guards)
-    return m
 
 
 def divides(a: int, b: int, guards: int) -> bool:
@@ -147,7 +142,20 @@ def quotient(b: int, a: int, guards: int) -> int:
 
 
 def lcm(a: int, b: int, encoding: Encoding) -> int:
-    return encoding.encode(tuple(map(max, encoding.decode(a), encoding.decode(b))))
+    """The least common multiple of two monomials: the larger exponent of every field.
+
+    With fa and fb the exponent fields of a and b, ((fa | guards) - fb) &
+    guards keeps the guard bit of exactly the fields where a's exponent is
+    at least b's (no field borrows from the next). Spreading each kept guard
+    bit over the bits below it selects those fields of a; the other fields
+    come from b. The degree is added from one decode of the result.
+    """
+    mask, guards = encoding.fields, encoding.guards
+    fa, fb = a & mask, b & mask
+    ge = ((fa | guards) - fb) & guards
+    ge -= ge >> (encoding.width - 1)
+    fields = (fa & ge) | (fb & ~ge)
+    return fields + encoding.degree_unit * sum(encoding.decode(fields))
 
 
 def coprime(a: int, b: int, encoding: Encoding) -> bool:

@@ -255,16 +255,22 @@ class Polynomial:
         """Multiply by a single term, given by its coefficient and word.
 
         Order compatibility with multiplication keeps the sorted layout, so
-        no re-normalization is needed.
+        no re-normalization is needed. Each product word is a sum, and one
+        guard test of the OR of all of them raises on any overflow.
         """
-        p, guards = self.ring.p, self.ring.guards
+        ring = self.ring
+        p = ring.p
         c = coeff % p
         if c == 0 or not self.terms:
-            return self.ring.zero()
-        mul = monomials.mul
-        return Polynomial(
-            self.ring, tuple([((tc * c) % p, mul(tm, mono, guards)) for tc, tm in self.terms])
-        )
+            return ring.zero()
+        out = []
+        seen = 0
+        for tc, tm in self.terms:
+            m = tm + mono
+            seen |= m
+            out.append((tc * c % p, m))
+        monomials.check(seen, ring.guards)
+        return Polynomial(ring, tuple(out))
 
     def monic(self) -> Polynomial:
         """Scale so the leading coefficient is 1."""
@@ -389,16 +395,21 @@ class TermAccumulator:
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Cancel the leading terms of f and g against their lcm monomial."""
-    if f.is_zero or g.is_zero:
+    """Cancel the leading terms of f and g against their lcm monomial.
+
+    The two scaled multiples are merged directly, with the minus sign folded
+    into the scalar of g's multiple.
+    """
+    if not f.terms or not g.terms:
         raise ValueError("s-polynomial needs nonzero polynomials")
     f._check_ring(g)
     ring = f.ring
-    gamma = monomials.lcm(f.leading_monomial, g.leading_monomial, ring.encoding)
+    (fc, fm), (gc, gm) = f.terms[0], g.terms[0]
+    gamma = monomials.lcm(fm, gm, ring.encoding)
     inv, guards = ring.field.inv, ring.guards
-    fq = monomials.quotient(gamma, f.leading_monomial, guards)
-    gq = monomials.quotient(gamma, g.leading_monomial, guards)
-    return f.mul_term(inv(f.leading_coefficient), fq) - g.mul_term(inv(g.leading_coefficient), gq)
+    fq = monomials.quotient(gamma, fm, guards)
+    gq = monomials.quotient(gamma, gm, guards)
+    return f.mul_term(inv(fc), fq)._merge(g.mul_term(-inv(gc), gq))
 
 
 def ecart(f: Polynomial) -> int:

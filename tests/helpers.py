@@ -3,6 +3,7 @@ for the packed monomials, shared across the tests."""
 
 from __future__ import annotations
 
+import sys
 from operator import add, le, sub
 
 from codegb import monomials
@@ -193,3 +194,36 @@ def reduce_step(f: Polynomial, g: Polynomial) -> Polynomial:
 def exponent_terms(f: Polynomial):
     """f's terms with each word decoded: (coefficient, exponent tuple) pairs."""
     return tuple((c, f.ring.exponents(m)) for c, m in f.terms)
+
+
+def wrap_everywhere(monkeypatch, module, attr: str, make_wrapper) -> None:
+    """Replace module.attr by make_wrapper(original) at every codegb binding of it.
+
+    A name imported with ``from .division import divide`` is a binding of
+    its own, so the function is replaced wherever the package refers to it,
+    as the benchmark's tracer (perfbench/tracer.py) does.
+    """
+    original = getattr(module, attr)
+    wrapped = make_wrapper(original)
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "codegb" and mod.__dict__.get(attr) is original:
+            monkeypatch.setattr(mod, attr, wrapped)
+
+
+def count_calls(monkeypatch, *targets) -> dict[str, int]:
+    """Count the calls of each (module, attr) target, wrapped at every binding.
+
+    The counts are keyed by attr.
+    """
+    counts = {attr: 0 for _, attr in targets}
+    for module, attr in targets:
+
+        def make_wrapper(original, attr=attr):
+            def counted(*args, **kwargs):
+                counts[attr] += 1
+                return original(*args, **kwargs)
+
+            return counted
+
+        wrap_everywhere(monkeypatch, module, attr, make_wrapper)
+    return counts

@@ -1,18 +1,21 @@
 """Buchberger completion, the product criterion, minimalization, reduction."""
 
 import random
+import sys
 from itertools import permutations
 
 import pytest
 
+from codegb import buchberger, division, monomials
 from codegb.buchberger import groebner, minimalize, product_criterion, reduce_basis
-from codegb.codes import lex_code_basis, parse_matrix
+from codegb.codes import GeneratorMatrix, lex_code_basis, parse_matrix
 from codegb.division import divide
+from codegb.gfp import PrimeField
 from codegb.monomials import Order
 from codegb.parsing import parse_poly
 from codegb.poly import Ring, s_polynomial
 
-from helpers import EXAMPLE_MATRIX, random_nonzero_poly
+from helpers import EXAMPLE_MATRIX, count_calls, random_nonzero_poly
 
 
 @pytest.fixture
@@ -140,3 +143,39 @@ def test_minimalize_under_both_order_kinds():
     g2 = parse_poly("X1X2", local)
     assert minimalize([g2, f2]) == [f2]
     assert minimalize([]) == []
+
+
+def test_degrevlex_code_basis_makes_a_pinned_number_of_calls(monkeypatch):
+    # The work counts behind the benchmark's division.divide.steps (inverses
+    # taken directly inside divide, one per step), buchberger.pairs and
+    # monomials.divides.calls, counted as its tracer counts them. divide
+    # tests the divisors in order with monomials.divides until the first
+    # match, so a cheaper set-up or scan must leave these counts fixed.
+    divide_code = division.divide.__code__
+    counts = count_calls(
+        monkeypatch,
+        (monomials, "divides"),
+        (monomials, "lcm"),
+        (division, "divide"),
+        (buchberger, "product_criterion"),
+    )
+    counts["inv in divide"] = 0
+    inv = PrimeField.inv
+
+    def counted_inv(self, a):
+        if sys._getframe(1).f_code is divide_code:
+            counts["inv in divide"] += 1
+        return inv(self, a)
+
+    monkeypatch.setattr(PrimeField, "inv", counted_inv)
+    G = GeneratorMatrix(3, 1, 5, ((1, 1, 2, 1, 2),))
+    ring = Ring(3, 5, Order.DEGREVLEX)
+    basis = reduce_basis(groebner([ring.convert(f) for f in lex_code_basis(G)]))
+    assert len(basis) > 1
+    assert counts == {
+        "divides": 11767,
+        "lcm": 977,
+        "divide": 457,
+        "product_criterion": 528,
+        "inv in divide": 895,
+    }

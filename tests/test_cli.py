@@ -126,6 +126,19 @@ def test_verify_inject_drop_is_refused_with_random(capsys):
     assert out == "" and err.startswith("error: --inject-drop needs a matrix file")
 
 
+@pytest.mark.parametrize("seed", ["0", "3"])
+def test_verify_seed_is_refused_with_a_matrix_file(capsys, matrix_file, seed):
+    code, out, err = run(capsys, "verify", matrix_file, "--seed", seed)
+    assert code == 2
+    assert out == "" and err == "error: --seed needs --random; it does not apply to a matrix file\n"
+
+
+def test_verify_random_without_seed_uses_seed_0(capsys):
+    default = run(capsys, "verify", "--random", "4")
+    assert default == run(capsys, "verify", "--random", "4", "--seed", "0")
+    assert default[0] == 0 and default[1].splitlines()[-1] == "verified 4/4"
+
+
 def test_verify_matches_under_optimize_flag(tmp_path):
     # python -O strips asserts; every check behind verify's output must survive it
     path = tmp_path / "matrix.txt"
@@ -141,6 +154,29 @@ def test_verify_matches_under_optimize_flag(tmp_path):
         )
         assert (optimized.returncode, optimized.stdout) == (plain.returncode, plain.stdout)
         assert plain.returncode == (1 if extra else 0)
+
+
+def test_global_path_matches_under_optimize_flag(tmp_path):
+    # groebner and nf under global orders: stdout, --trace stderr and exit code survive -O
+    matrix, basis = tmp_path / "matrix.txt", tmp_path / "basis.txt"
+    matrix.write_text(EXAMPLE_MATRIX)
+    basis.write_text(LEX_BASIS_FILE)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    for command in (
+        ["groebner", str(matrix), "--order", "degrevlex", "--trace"],
+        ["nf", "X1^2X2X3+X4X5^2", str(basis), "--order", "deglex", "--trace"],
+    ):
+        plain, optimized = (
+            subprocess.run(
+                [sys.executable, *flags, "-m", "codegb.cli", *command],
+                env=env, capture_output=True, timeout=120,
+            )
+            for flags in ([], ["-O"])
+        )
+        assert (optimized.returncode, optimized.stdout, optimized.stderr) == (
+            plain.returncode, plain.stdout, plain.stderr
+        )
+        assert plain.returncode == 0 and plain.stdout and plain.stderr.startswith(b"# ")
 
 
 def test_nf_max_steps(capsys, tmp_path):

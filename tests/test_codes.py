@@ -1,7 +1,6 @@
 """Generator matrices, code ideals, translated generators, closed form."""
 
 import random
-import sys
 from itertools import combinations
 
 import pytest
@@ -27,7 +26,14 @@ from codegb.mora import standard_basis
 from codegb.parsing import print_poly
 from codegb.poly import Ring
 
-from helpers import CLOSED_FORM_LINES, EXAMPLE_MATRIX, LEX_BASIS_LINES, random_code, random_codeword
+from helpers import (
+    CLOSED_FORM_LINES,
+    EXAMPLE_MATRIX,
+    LEX_BASIS_LINES,
+    count_calls,
+    random_code,
+    random_codeword,
+)
 
 
 @pytest.fixture
@@ -242,18 +248,7 @@ def test_verifying_draw_172_makes_a_pinned_number_of_divides_and_lcm_calls(monke
     # wrapped at every binding in the package. The reduction loops call
     # monomials.divides and lcm rather than inlining them, and the product
     # criterion tests coprimality without an lcm, so these counts stay fixed.
-    counts = {"divides": 0, "lcm": 0}
-    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "codegb"]
-    for attr in counts:
-        original = getattr(monomials, attr)
-
-        def counted(*args, _original=original, _attr=attr):
-            counts[_attr] += 1
-            return _original(*args)
-
-        for module in modules:
-            if module.__dict__.get(attr) is original:
-                monkeypatch.setattr(module, attr, counted)
+    counts = count_calls(monkeypatch, (monomials, "divides"), (monomials, "lcm"))
     # draw #172 of random_code(Random(20240815)), the slowest known verify
     report = verify_closed_form(GeneratorMatrix(5, 1, 6, ((1, 1, 2, 1, 1, 2),)))
     assert report.ok

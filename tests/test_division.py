@@ -66,6 +66,28 @@ def test_zero_divisor_rejected():
         divide(ring.variable(1), [ring.zero()])
 
 
+def test_divisor_checks_and_quotient_slots():
+    ring = Ring(5, 3, Order.DEGLEX)
+    twin = Ring(5, 3, Order.DEGLEX)  # equal to ring, but a distinct object
+    assert twin == ring and twin is not ring
+    f = parse_poly("X1^2X2+3X1X3^2+X2", ring)
+    texts = ["X3^3+X1", "X1X2+2X3", "X2^4+X1", "X1X3+4"]
+    divisors = [parse_poly(text, ring) for text in texts]
+    result = divide(f, divisors)
+    assert len(result.quotients) == len(divisors)
+    unused = [a for a in result.quotients if not a]
+    assert unused and all(a == ring.zero() for a in unused)
+    assert any(result.quotients)
+    mixed = [parse_poly(text, twin if i % 2 else ring) for i, text in enumerate(texts)]
+    assert divide(f, mixed) == result
+    for other in (Ring(5, 3, Order.LEX), Ring(7, 3, Order.DEGLEX), Ring(5, 4, Order.DEGLEX)):
+        with pytest.raises(ValueError, match="mixed polynomial contexts"):
+            divide(f, [*divisors, other.variable(1)])
+    for zero in (ring.zero(), twin.zero()):
+        with pytest.raises(ValueError, match="divisors must be nonzero"):
+            divide(f, [*divisors, zero])
+
+
 def test_first_divisor_wins():
     ring = Ring(5, 2, Order.LEX)
     x1, x2 = ring.variable(1), ring.variable(2)

@@ -219,8 +219,18 @@ def test_product_overflow_raises_and_never_wraps(order):
     high = ring.term(1, (0, 20000))
     square = ring.term(1, (0, 32766)) + ring.term(1, (1, 0))
     assert (square * ring.term(1, (0, 1))).degree == 32767
+    # three terms of one degree, so in every order the middle one has X2^20000
+    wide = Ring(3, 3, order)
+    f = wide.poly([(1, (20002, 0, 0)), (1, (2, 20000, 0)), (1, (1, 0, 20001))])
+    assert wide.exponents(f.terms[1][1]) == (2, 20000, 0)
+    edge, over = (wide.term(1, (0, e, 0)).leading_monomial for e in (12767, 12768))
+    assert f.mul_term(1, edge).terms[1][1] == wide.encoding.encode((2, 32767, 0))
+    # lcm(lm f, lm g) / lm f = X2^12768 X3^7233 overflows only f's middle term
+    g = wide.term(1, (1, 12768, 7233))
     for product in (lambda: high * high, lambda: high ** 2,
-                    lambda: square.mul_term(1, high.leading_monomial)):
+                    lambda: square.mul_term(1, high.leading_monomial),
+                    lambda: f.mul_term(2, over),
+                    lambda: s_polynomial(f, g), lambda: s_polynomial(g, f)):
         with pytest.raises(ValueError, match="exponent overflow: .* above 32767"):
             product()
 

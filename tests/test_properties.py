@@ -90,11 +90,14 @@ def test_monomial_ops_are_componentwise(args):
             monomials.quotient(wb, wa, guards)
     product = ref_mul(a, b)
     if max(product) <= enc.bound:
-        assert monomials.mul(wa, wb, guards) == enc.encode(product)
-        assert monomials.quotient(monomials.mul(wa, wb, guards), wa, guards) == wb
+        assert wa + wb == enc.encode(product)
+        assert ring.term(1, a).mul_term(1, wb).leading_monomial == wa + wb
+        assert monomials.quotient(wa + wb, wa, guards) == wb
     else:
         with pytest.raises(ValueError, match=f"above {enc.bound}"):
-            monomials.mul(wa, wb, guards)
+            monomials.check(wa + wb, guards)
+        with pytest.raises(ValueError, match=f"above {enc.bound}"):
+            ring.term(1, a).mul_term(1, wb)
         with pytest.raises(ValueError, match=f"exceeds {enc.bound}"):
             enc.encode(product)
 

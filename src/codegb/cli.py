@@ -47,15 +47,25 @@ def _make_trace(enabled: bool):
 
 
 def _load_basis_file(text: str, order: Order):
-    """Basis file: first line 'p=<prime> n=<int>', then one polynomial per line."""
+    """Basis file: first line 'p=<prime> n=<int>', then one polynomial per line.
+
+    Errors name the line and column in the file.
+    """
     lines = content_lines(text)
     if not lines:
         raise ParseError("empty basis file", 1, 1)
-    m = re.fullmatch(r"p=(\d+)\s+n=(\d+)", lines[0])
+    (line, col, header), *body = lines
+    m = re.fullmatch(r"p=([0-9]+)\s+n=([0-9]+)", header)
     if not m:
-        raise ParseError(f"expected 'p=<prime> n=<int>' header, got {lines[0]!r}", 1, 1)
+        raise ParseError(f"expected 'p=<prime> n=<int>' header, got {header!r}", line, col)
     ring = Ring(int(m.group(1)), int(m.group(2)), order)
-    return ring, [parse_poly(line, ring) for line in lines[1:]]
+    basis = []
+    for line, col, poly_text in body:
+        try:
+            basis.append(parse_poly(poly_text, ring))
+        except ParseError as exc:
+            raise ParseError(exc.message, line, col + exc.col - 1) from None
+    return ring, basis
 
 
 def cmd_groebner(args) -> int:

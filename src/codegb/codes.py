@@ -22,6 +22,11 @@ from .parsing import content_lines
 from .poly import Polynomial, Ring
 
 
+# A matrix entry: ASCII decimal digits, as in polynomial text. A '-' sign is
+# read, so that a negative entry is reported as outside [0, p).
+_ENTRY = re.compile(r"-?[0-9]+")
+
+
 class MatrixFormatError(ValueError):
     """Malformed matrix text or a matrix that is not in standard form."""
 
@@ -78,25 +83,26 @@ def parse_matrix(text: str) -> GeneratorMatrix:
     lines = content_lines(text)
     if len(lines) < 2:
         raise MatrixFormatError("expected a p= line and a k=/n= line")
-    m = re.fullmatch(r"p=(\d+)", lines[0])
+    (p_line, _, p_text), (kn_line, _, kn_text), *body = lines
+    m = re.fullmatch(r"p=([0-9]+)", p_text)
     if not m:
-        raise MatrixFormatError(f"expected 'p=<prime>' on line 1, got {lines[0]!r}")
+        raise MatrixFormatError(f"expected 'p=<prime>' on line {p_line}, got {p_text!r}")
     p = int(m.group(1))
-    m = re.fullmatch(r"k=(\d+)\s+n=(\d+)", lines[1])
+    m = re.fullmatch(r"k=([0-9]+)\s+n=([0-9]+)", kn_text)
     if not m:
-        raise MatrixFormatError(f"expected 'k=<int> n=<int>' on line 2, got {lines[1]!r}")
+        raise MatrixFormatError(f"expected 'k=<int> n=<int>' on line {kn_line}, got {kn_text!r}")
     k, n = int(m.group(1)), int(m.group(2))
-    body = lines[2:]
     if len(body) != k:
         raise MatrixFormatError(f"expected {k} matrix rows, got {len(body)}")
     rows = []
-    for r, line in enumerate(body, start=1):
+    for r, (_, _, line) in enumerate(body, start=1):
         entries = line.split()
         try:
-            row = tuple(int(e) for e in entries)
-        except ValueError:
+            if not all(map(_ENTRY.fullmatch, entries)):
+                raise ValueError
+            rows.append(tuple(map(int, entries)))
+        except ValueError:  # also int()'s limit on the number of digits
             raise MatrixFormatError(f"row {r} contains a non-integer entry") from None
-        rows.append(row)
     return GeneratorMatrix(p, k, n, tuple(rows))
 
 

@@ -12,9 +12,9 @@ divisibility test and the quotient are one subtraction and one mask each.
 Leading monomials strictly decrease from step to step, so the quotient
 and remainder terms come out already sorted and distinct.
 
-A call's fixed cost is one pass over the divisors: a ring identity test
-(equal but distinct rings still pass, through Polynomial._check_ring), a
-zero test and a read of the leading word from g.terms. Quotient terms are
+A call's fixed cost is one pass over the divisors: poly.check_divisors (a
+ring identity test, equal but distinct rings still passing, and a zero
+test) and a read of the leading word from g.terms. Quotient terms are
 collected only for divisors that reduce; the others share one zero
 Polynomial. In Buchberger's loop, where a binomial divides in one or two
 steps by some twenty divisors, that set-up is most of a call.
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import monomials
-from .poly import Polynomial, TermAccumulator
+from .poly import Polynomial, TermAccumulator, check_divisors
 
 
 @dataclass(frozen=True)
@@ -55,12 +55,7 @@ def divide(
         raise ValueError(
             "divide requires a global order; use mora.weak_normal_form for local orders"
         )
-    divisors = list(divisors)
-    for g in divisors:
-        if g.ring is not ring:
-            f._check_ring(g)
-        if not g.terms:
-            raise ValueError("divisors must be nonzero")
+    divisors = check_divisors(f, divisors)
 
     divides, guards, inv, p = monomials.divides, ring.guards, ring.field.inv, ring.p
     leading = [g.terms[0][1] for g in divisors]

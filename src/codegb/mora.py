@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Sequence
 
 from . import monomials
 from .buchberger import _prepare, complete, minimalize
-from .poly import Polynomial, TermAccumulator, add_product, ecart, s_polynomial
+from .poly import Polynomial, TermAccumulator, add_product, check_divisors, ecart, s_polynomial
 
 
 @dataclass(frozen=True)
@@ -124,11 +124,7 @@ def weak_normal_form(
         raise ValueError(
             "weak_normal_form requires a local order; use division.divide for global orders"
         )
-    divisors = list(divisors)
-    for g in divisors:
-        f._check_ring(g)
-        if g.is_zero:
-            raise ValueError("divisors must be nonzero")
+    divisors = check_divisors(f, divisors)
 
     p, guards = ring.p, ring.guards
     one = monomials.ONE

@@ -11,6 +11,17 @@ coeff, index and exponent are decimal integers; '*' is optional between a
 coefficient and a variable and between variables, so 2X4^2X6^2 and
 2*X4^2*X6^2 read the same. Coefficients are reduced mod p on parse.
 
+Reading takes two steps. One compiled regular expression scans the whole
+text into (kind, value, line, col) tokens before the grammar is applied, so
+an unexpected character is reported even where the grammar would fail
+earlier (X1++Y fails at Y). One loop then reads the grammar from the tokens.
+A ParseError's line counts newlines and its col counts code points since
+the last one. Digits are ASCII 0-9 and whitespace is space, tab, carriage
+return and newline: Python's \\d and \\s would also accept the digits and
+spaces of other scripts. The file formats follow the same digit rule:
+numbers in a matrix file and in a basis-file header are ASCII decimal
+digits as well.
+
 print_poly emits the canonical form: terms strictly descending under the
 polynomial's order, coefficients in [1, p), a coefficient of 1 elided,
 '^1' elided, variables juxtaposed, and terms joined by '+'. The zero
@@ -18,11 +29,13 @@ polynomial prints as "0".
 
 content_lines is the line reader both file formats share (the generator
 matrix and the nf basis file): '#' starts a comment, blank lines are
-skipped.
+skipped, and each line keeps its file line and column, so that errors name
+a position in the file.
 """
 
 from __future__ import annotations
 
+import re
 from operator import getitem
 
 from .poly import Polynomial, Ring
@@ -33,146 +46,57 @@ class ParseError(ValueError):
 
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"line {line} col {col}: {message}")
+        self.message = message
         self.line = line
         self.col = col
 
 
-_INT = "int"
-_VAR = "var"
-_OP = "op"
-_EOF = "eof"
+# One alternative per token; whitespace other than a newline matches no named
+# group, and any other character falls to 'bad'. [0-9] and [ \t\r], not \d
+# and \s, which also match non-ASCII digits and spaces.
+_TOKEN = re.compile(
+    r"(?P<int>[0-9]+)|X(?P<var>[0-9]*)|(?P<op>[-+*^])|(?P<newline>\n)|[ \t\r]+|(?P<bad>.)",
+    re.DOTALL,
+)
 
 
-def _is_ascii_digit(ch: str) -> bool:
-    # str.isdigit accepts Unicode digits that int() rejects; ASCII only here
-    return "0" <= ch <= "9"
+def _scan(text: str) -> list[tuple]:
+    """(kind, value, line, col) tokens of the whole text, closed by an 'end' token.
 
-
-def _tokenize(text: str):
-    """Yield (kind, value, line, col) tokens; kinds: int, var, op, eof."""
+    kind is 'int' or 'var' with an int value, or an operator, which is its
+    own value. Integers convert in scan order, so a bad character is
+    reported only if every integer before it converts.
+    """
     tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch in "+-*^":
-            tokens.append((_OP, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if _is_ascii_digit(ch):
-            j = i
-            while j < len(text) and _is_ascii_digit(text[j]):
-                j += 1
-            tokens.append((_INT, int(text[i:j]), line, col))
-            col += j - i
-            i = j
-            continue
-        if ch == "X":
-            j = i + 1
-            while j < len(text) and _is_ascii_digit(text[j]):
-                j += 1
-            if j == i + 1:
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind, col = m.lastgroup, m.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", line, col)
+        elif kind == "op":
+            tokens.append((m.group(), m.group(), line, col))
+        elif kind:
+            if not m.group(kind):
                 raise ParseError("'X' must be followed by a variable index", line, col)
-            tokens.append((_VAR, int(text[i + 1 : j]), line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append((_EOF, None, line, col))
+            tokens.append((kind, int(m.group(kind)), line, col))
+    tokens.append(("end", None, line, len(text) - line_start + 1))
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str, ring: Ring):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.ring = ring
+def content_lines(text: str) -> list[tuple[int, int, str]]:
+    """The non-blank lines of a file as (line, col, text), '#' comments removed.
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, message):
-        _, _, line, col = self.peek()
-        raise ParseError(message, line, col)
-
-    def parse(self) -> Polynomial:
-        terms = []
-        sign = 1
-        if self.peek()[:2] == (_OP, "-"):
-            self.advance()
-            sign = -1
-        terms.append(self.term(sign))
-        while True:
-            kind, value, _, _ = self.peek()
-            if kind == _EOF:
-                break
-            if kind == _OP and value in "+-":
-                self.advance()
-                terms.append(self.term(1 if value == "+" else -1))
-            else:
-                self.fail(f"expected '+', '-' or end of input, got {value!r}")
-        return self.ring.poly(terms)
-
-    def term(self, sign: int):
-        kind, value, _, _ = self.peek()
-        if kind == _INT:
-            self.advance()
-            coeff = value
-        elif kind == _VAR:
-            coeff = 1
-        else:
-            self.fail("expected a coefficient or a variable")
-        mono = [0] * self.ring.n
-        while True:
-            kind, value, _, _ = self.peek()
-            if kind == _OP and value == "*":
-                self.advance()
-                if self.peek()[0] != _VAR:
-                    self.fail("expected a variable after '*'")
-                self.varpow(mono)
-            elif kind == _VAR:
-                self.varpow(mono)
-            else:
-                break
-        return (sign * coeff, tuple(mono))
-
-    def varpow(self, mono):
-        kind, index, line, col = self.advance()
-        if not 1 <= index <= self.ring.n:
-            raise ParseError(f"variable index {index} out of range [1, {self.ring.n}]", line, col)
-        exponent = 1
-        if self.peek()[:2] == (_OP, "^"):
-            self.advance()
-            kind, value, _, _ = self.peek()
-            if kind != _INT:
-                self.fail("expected a non-negative integer exponent after '^'")
-            self.advance()
-            exponent = value
-        mono[index - 1] += exponent
-
-
-def content_lines(text: str) -> list[str]:
-    """The stripped non-blank lines of a file, with '#' comments removed."""
+    text is the stripped line; it starts at column col of file line line,
+    both 1-based, with lines counted as str.splitlines splits the file.
+    """
     lines = []
-    for raw in text.splitlines():
-        stripped = raw.split("#", 1)[0].strip()
+    for number, raw in enumerate(text.splitlines(), start=1):
+        kept = raw.split("#", 1)[0]
+        stripped = kept.strip()
         if stripped:
-            lines.append(stripped)
+            lines.append((number, len(kept) - len(kept.lstrip()) + 1, stripped))
     return lines
 
 
@@ -180,7 +104,44 @@ def parse_poly(text: str, ring: Ring) -> Polynomial:
     """Parse polynomial text into a normalized polynomial of the ring."""
     if not text.strip():
         raise ParseError("empty polynomial text", 1, 1)
-    return _Parser(text, ring).parse()
+    tokens = _scan(text)
+    terms = []
+    i, sign = (1, -1) if tokens[0][0] == "-" else (0, 1)
+    while True:
+        kind, coeff, line, col = tokens[i]
+        if kind == "int":
+            i += 1
+        elif kind == "var":
+            coeff = 1
+        else:
+            raise ParseError("expected a coefficient or a variable", line, col)
+        mono = [0] * ring.n
+        while True:
+            kind, index, line, col = tokens[i]
+            if kind == "*":
+                i += 1
+                kind, index, line, col = tokens[i]
+                if kind != "var":
+                    raise ParseError("expected a variable after '*'", line, col)
+            elif kind != "var":
+                break
+            if not 1 <= index <= ring.n:
+                raise ParseError(f"variable index {index} out of range [1, {ring.n}]", line, col)
+            i += 1
+            exponent = 1
+            if tokens[i][0] == "^":
+                kind, exponent, line, col = tokens[i + 1]
+                if kind != "int":
+                    raise ParseError("expected a non-negative integer exponent after '^'", line, col)
+                i += 2
+            mono[index - 1] += exponent
+        terms.append((sign * coeff, tuple(mono)))
+        kind, value, line, col = tokens[i]
+        if kind == "end":
+            return ring.poly(terms)
+        if kind not in ("+", "-"):
+            raise ParseError(f"expected '+', '-' or end of input, got {value!r}", line, col)
+        i, sign = i + 1, 1 if kind == "+" else -1
 
 
 class _Powers(dict):

@@ -394,6 +394,21 @@ class TermAccumulator:
         return self.ring._from_dict(self.coeffs)
 
 
+def check_divisors(f: Polynomial, divisors: Iterable[Polynomial]) -> list[Polynomial]:
+    """The divisors as a list, each checked to share f's ring and to be nonzero.
+
+    The ring is tested by identity first; equal but distinct rings still pass.
+    """
+    ring = f.ring
+    divisors = list(divisors)
+    for g in divisors:
+        if g.ring is not ring:
+            f._check_ring(g)
+        if not g.terms:
+            raise ValueError("divisors must be nonzero")
+    return divisors
+
+
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     """Cancel the leading terms of f and g against their lcm monomial.
 

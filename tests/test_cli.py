@@ -57,9 +57,17 @@ def test_groebner_rejects_local_order(capsys, matrix_file):
 
 def test_malformed_matrix(capsys, tmp_path):
     path = tmp_path / "bad.txt"
-    path.write_text("not a matrix\n")
-    code, _, err = run(capsys, "groebner", str(path))
-    assert code == 2 and "error" in err
+    for text, message in [
+        ("not a matrix\n", "expected a p= line and a k=/n= line"),
+        # numbers are ASCII decimal digits; header lines are named by file line
+        ("# code\np=\u0663\nk=1 n=1\n1\n", "expected 'p=<prime>' on line 2, got 'p=\u0663'"),
+        ("p=3\n\nk=1 n=\u0662\n1 0\n", "expected 'k=<int> n=<int>' on line 3, got 'k=1 n=\u0662'"),
+        ("p=3\nk=1 n=2\n1 1_0\n", "row 1 contains a non-integer entry"),
+        ("p=3\nk=1 n=2\n1 +2\n", "row 1 contains a non-integer entry"),
+    ]:
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "groebner", str(path))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_missing_file(capsys, tmp_path):
@@ -221,6 +229,22 @@ def test_nf_bad_polynomial(capsys, tmp_path):
     basis.write_text("p=3 n=1\nX1\n")
     code, _, err = run(capsys, "nf", "X9", str(basis))
     assert code == 2 and "error" in err
+    basis.write_text("p=\u0663 n=1\nX1\n", encoding="utf-8")
+    code, out, err = run(capsys, "nf", "X1", str(basis))
+    assert (code, out) == (2, "")
+    assert err == "error: line 1 col 1: expected 'p=<prime> n=<int>' header, got 'p=\u0663 n=1'\n"
+
+
+def test_basis_file_errors_name_the_file_line_and_column(capsys, tmp_path):
+    basis = tmp_path / "basis.txt"
+    basis.write_text("# a basis over F_3\np=3 n=2\n\nX1+X2  # first element\n    X1+X7\n")
+    code, out, err = run(capsys, "nf", "X1", str(basis))
+    assert (code, out) == (2, "")
+    assert err == "error: line 5 col 8: variable index 7 out of range [1, 2]\n"
+    basis.write_text("# a basis over F_3\n\n  p=3, n=2\nX1\n")
+    code, out, err = run(capsys, "nf", "X1", str(basis))
+    assert (code, out) == (2, "")
+    assert err == "error: line 3 col 3: expected 'p=<prime> n=<int>' header, got 'p=3, n=2'\n"
 
 
 def test_nf_huge_prime_modulus_is_fast(capsys, tmp_path):

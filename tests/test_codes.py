@@ -71,8 +71,15 @@ def test_parse_rejects_bad_shapes():
         parse_matrix("p=3\nk=1 n=3\n1 0\n")
     with pytest.raises(MatrixFormatError, match="outside"):
         parse_matrix("p=3\nk=1 n=2\n1 7\n")
-    with pytest.raises(MatrixFormatError, match="non-integer"):
-        parse_matrix("p=3\nk=1 n=2\n1 x\n")
+    # entries are ASCII decimal digits, as in polynomial text; int() alone
+    # would read 1_0 as 10, +2 as 2 and an Arabic-Indic digit as a digit
+    for entry in ("x", "1_0", "+2", "\u0663", "1" * 5000):
+        with pytest.raises(MatrixFormatError, match="row 1 contains a non-integer entry"):
+            parse_matrix(f"p=3\nk=1 n=2\n1 {entry}\n")
+    with pytest.raises(MatrixFormatError, match="expected 'p=<prime>' on line 2"):
+        parse_matrix("# code\np=\u0663\nk=1 n=2\n1 1\n")
+    with pytest.raises(MatrixFormatError, match="expected 'k=<int> n=<int>' on line 3"):
+        parse_matrix("p=3\n\nk=\u0661 n=2\n1 1\n")
     with pytest.raises(MatrixFormatError):
         parse_matrix("just nonsense\n")
 

@@ -7,6 +7,7 @@ import pytest
 from codegb.codes import parse_matrix, lex_code_basis
 from codegb.division import divide
 from codegb.monomials import Order, divides
+from codegb.mora import weak_normal_form
 from codegb.parsing import parse_poly
 from codegb.poly import Ring
 
@@ -80,12 +81,21 @@ def test_divisor_checks_and_quotient_slots():
     assert any(result.quotients)
     mixed = [parse_poly(text, twin if i % 2 else ring) for i, text in enumerate(texts)]
     assert divide(f, mixed) == result
-    for other in (Ring(5, 3, Order.LEX), Ring(7, 3, Order.DEGLEX), Ring(5, 4, Order.DEGLEX)):
-        with pytest.raises(ValueError, match="mixed polynomial contexts"):
-            divide(f, [*divisors, other.variable(1)])
-    for zero in (ring.zero(), twin.zero()):
-        with pytest.raises(ValueError, match="divisors must be nonzero"):
-            divide(f, [*divisors, zero])
+    # the same divisor checks, in the same order, guard Mora's loop
+    for reduce, order in ((divide, Order.DEGLEX), (weak_normal_form, Order.NEGDEGLEX)):
+        ring, twin = Ring(5, 3, order), Ring(5, 3, order)
+        f = parse_poly("X1^2X2+3X1X3^2+X2", ring)
+        divisors = [parse_poly(text, ring) for text in texts]
+        for other in (Ring(5, 3, Order.LEX), Ring(7, 3, order), Ring(5, 4, order)):
+            with pytest.raises(ValueError, match="mixed polynomial contexts"):
+                reduce(f, [*divisors, other.variable(1)])
+            with pytest.raises(ValueError, match="mixed polynomial contexts"):
+                reduce(f, [*divisors, other.zero()])
+        for zero in (ring.zero(), twin.zero()):
+            with pytest.raises(ValueError, match="divisors must be nonzero"):
+                reduce(f, [*divisors, zero])
+            with pytest.raises(ValueError, match="divisors must be nonzero"):
+                reduce(f, [zero, Ring(7, 3, order).variable(1)])
 
 
 def test_first_divisor_wins():

@@ -11,8 +11,6 @@ from .codes import (
     mi_vector,
     parse_matrix,
     random_matrix,
-    rref,
-    standard_form,
     translated_generators,
     verify_closed_form,
 )
@@ -57,10 +55,8 @@ __all__ = [
     "product_criterion",
     "random_matrix",
     "reduce_basis",
-    "rref",
     "s_polynomial",
     "standard_basis",
-    "standard_form",
     "translated_generators",
     "verify_closed_form",
     "weak_normal_form",

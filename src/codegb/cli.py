@@ -55,7 +55,7 @@ def _load_basis_file(text: str, order: Order):
     if not lines:
         raise ParseError("empty basis file", 1, 1)
     (line, col, header), *body = lines
-    m = re.fullmatch(r"p=([0-9]+)\s+n=([0-9]+)", header)
+    m = re.fullmatch(r"p=([0-9]+)[ \t]+n=([0-9]+)", header)
     if not m:
         raise ParseError(f"expected 'p=<prime> n=<int>' header, got {header!r}", line, col)
     ring = Ring(int(m.group(1)), int(m.group(2)), order)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Sequence
 
 from . import monomials
 from .gfp import is_prime
@@ -78,7 +77,7 @@ def parse_matrix(text: str) -> GeneratorMatrix:
     """Parse the matrix wire format.
 
     Line 1 is ``p=<prime>``, line 2 is ``k=<int> n=<int>``, then k lines
-    of n space-separated integers in [0, p). ``#`` starts a comment.
+    of n integers in [0, p), separated by spaces or tabs. ``#`` starts a comment.
     """
     lines = content_lines(text)
     if len(lines) < 2:
@@ -88,7 +87,7 @@ def parse_matrix(text: str) -> GeneratorMatrix:
     if not m:
         raise MatrixFormatError(f"expected 'p=<prime>' on line {p_line}, got {p_text!r}")
     p = int(m.group(1))
-    m = re.fullmatch(r"k=([0-9]+)\s+n=([0-9]+)", kn_text)
+    m = re.fullmatch(r"k=([0-9]+)[ \t]+n=([0-9]+)", kn_text)
     if not m:
         raise MatrixFormatError(f"expected 'k=<int> n=<int>' on line {kn_line}, got {kn_text!r}")
     k, n = int(m.group(1)), int(m.group(2))
@@ -96,7 +95,7 @@ def parse_matrix(text: str) -> GeneratorMatrix:
         raise MatrixFormatError(f"expected {k} matrix rows, got {len(body)}")
     rows = []
     for r, (_, _, line) in enumerate(body, start=1):
-        entries = line.split()
+        entries = re.split(r"[ \t]+", line)
         try:
             if not all(map(_ENTRY.fullmatch, entries)):
                 raise ValueError
@@ -104,61 +103,6 @@ def parse_matrix(text: str) -> GeneratorMatrix:
         except ValueError:  # also int()'s limit on the number of digits
             raise MatrixFormatError(f"row {r} contains a non-integer entry") from None
     return GeneratorMatrix(p, k, n, tuple(rows))
-
-
-def rref(rows: Sequence[Sequence[int]], p: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Reduced row echelon form over F_p; returns (rows, pivot column indices).
-
-    Pivot columns are 1-based. Zero rows sink to the bottom.
-    """
-    if not is_prime(p):
-        raise ValueError(f"p={p} is not prime")
-    work = [[e % p for e in row] for row in rows]
-    nrows = len(work)
-    ncols = len(work[0]) if nrows else 0
-    if any(len(row) != ncols for row in work):
-        raise ValueError("ragged matrix")
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if work[i][c]), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = pow(work[r][c], p - 2, p)
-        work[r] = [(e * inv) % p for e in work[r]]
-        for i in range(nrows):
-            if i != r and work[i][c]:
-                factor = work[i][c]
-                work[i] = [(a - factor * b) % p for a, b in zip(work[i], work[r])]
-        pivots.append(c + 1)
-        r += 1
-        if r == nrows:
-            break
-    return tuple(tuple(row) for row in work), tuple(pivots)
-
-
-def standard_form(rows: Sequence[Sequence[int]], p: int) -> GeneratorMatrix:
-    """Row-reduce arbitrary generators and require pivots in columns 1..k.
-
-    Column permutations change the code, so when the pivots land elsewhere
-    this reports the permutation that would be needed instead of applying
-    it silently.
-    """
-    reduced, pivots = rref(rows, p)
-    k = len(pivots)
-    if k == 0:
-        raise MatrixFormatError("matrix has rank 0")
-    if k < len(rows):
-        raise MatrixFormatError(f"rows are linearly dependent: rank {k} < {len(rows)}")
-    n = len(reduced[0])
-    if pivots != tuple(range(1, k + 1)):
-        raise MatrixFormatError(
-            f"pivot columns are {list(pivots)}, not 1..{k}; moving columns "
-            f"{list(pivots)} to the front would standardize the matrix but "
-            "permutes the code"
-        )
-    return GeneratorMatrix(p, k, n, reduced[:k])
 
 
 def mi_vector(G: GeneratorMatrix, i: int) -> MiVector:

@@ -18,16 +18,16 @@ raises CertificateError, also under python -O.
 Every reducer, h included, is a combination c_0*f - sum(c_i f_i), and its
 certificate is that vector (c_0, c_1, ..., c_s): an original divisor f_i is
 0*f - (-1)*f_i, and h starts as 1*f. A step h -= q*g applies the same update
-c_j -= q*g.c_j to every position g carries, so one rule keeps u = c_0 and
-a_i = c_i exact whether g is an original divisor or a recorded intermediate.
+c_j -= q*g.c_j (one poly.add_product) to every position g carries, so one
+rule keeps u = c_0 and a_i = c_i exact for any reducer g.
 
 While the loop runs, h lives in a poly.TermAccumulator, so a step costs
 O(|g| log |h|) for the reducer g. Monomials are the ring's packed words
 (see monomials): the reducer scan is one divides per candidate, and a
 reducer's ecart is read off its first and last terms. The certificate
-entries are never read in leading-term order, so they are plain word ->
-coefficient dicts, copied when an intermediate is recorded and sorted into
-Polynomials once, at the end. The certificate check recomputes
+entries are never read in leading-term order: h's are word -> coefficient
+dicts, sorted into Polynomials once, at the end, and a recorded reducer
+freezes them into tuples of (coefficient, word) pairs. The check recomputes
 u*f - sum(a_i f_i) from the returned Polynomials alone, summing term
 products into one dict.
 """
@@ -70,9 +70,9 @@ class BasisCheck:
 class _Reducer:
     """A reduction candidate g = cert[0]*f - sum(cert[i+1]*f_i).
 
-    cert maps a position to a word -> coefficient dict and holds only
-    the nonzero positions: {i+1: {ONE: -1}} for the original divisor f_i, a
-    snapshot of h's own vector for a recorded intermediate. The leading
+    cert maps a position to a tuple of (coefficient, word) pairs and holds
+    only the nonzero positions: {i+1: ((-1, ONE),)} for the original divisor
+    f_i, a snapshot of h's own vector for a recorded intermediate. The leading
     term and the ecart are cached because every step scans every reducer.
     """
 
@@ -83,20 +83,6 @@ class _Reducer:
         self.lc, self.lm = poly.leading_term
         self.cert = cert
         self.ecart = ecart
-
-
-def _add_multiple(acc: dict, c: int, q: int, terms: dict, p: int, guards: int) -> None:
-    """Add c * q * t into acc for a word -> coefficient dict t, mod p."""
-    seen = 0
-    for m, tc in terms.items():
-        m += q
-        seen |= m
-        v = (acc.get(m, 0) + c * tc) % p
-        if v:
-            acc[m] = v
-        else:
-            del acc[m]
-    monomials.check(seen, guards)
 
 
 def weak_normal_form(
@@ -131,7 +117,7 @@ def weak_normal_form(
     # h = cert[0]*f - sum(cert[i+1]*f_i), so cert[0] is u and cert[i+1] is a_i
     cert: list[dict] = [{one: 1}] + [{} for _ in divisors]
     h = TermAccumulator(ring, f.terms)
-    reducers = [_Reducer(g, {i + 1: {one: p - 1}}, ecart(g)) for i, g in enumerate(divisors)]
+    reducers = [_Reducer(g, {i + 1: ((p - 1, one),)}, ecart(g)) for i, g in enumerate(divisors)]
     recorded = 0
     steps = 0
 
@@ -154,7 +140,7 @@ def weak_normal_form(
             h_ecart = h.ecart()
             if g.ecart > h_ecart:
                 snapshot = h.to_poly()
-                snapshot_cert = {j: dict(c) for j, c in enumerate(cert) if c}
+                snapshot_cert = {j: tuple(zip(c.values(), c)) for j, c in enumerate(cert) if c}
                 reducers.append(_Reducer(snapshot, snapshot_cert, h_ecart))
                 recorded += 1
                 if trace:
@@ -165,8 +151,8 @@ def weak_normal_form(
             trace(f"reduce {Polynomial(ring, ((lc, lm),))!s} by {g.poly!s}")
         # Only a recorded g carries position 0, and then q has monomial < 1
         # (lm strictly dropped since g was recorded), so lt(u) = 1 survives.
-        for j, c in g.cert.items():
-            _add_multiple(cert[j], -qc, qm, c, p, guards)
+        for j, t in g.cert.items():
+            add_product(cert[j], -qc, ((1, qm),), t, ring)
         h.add_multiple(-qc, qm, g.poly)
 
     result = WeakNormalForm(
@@ -190,9 +176,9 @@ def _check_certificate(
     """
     ring = f.ring
     acc: dict[int, int] = {}
-    add_product(acc, 1, result.unit, f)
+    add_product(acc, 1, result.unit.terms, f.terms, ring)
     for a, g in zip(result.coefficients, divisors):
-        add_product(acc, -1, a, g)
+        add_product(acc, -1, a.terms, g.terms, ring)
     if ring._from_dict(acc) != result.normal_form:
         raise CertificateError("certificate identity u*f = sum(a_i f_i) + h violated")
     if not result.unit or result.unit.leading_term != (1, monomials.ONE):

@@ -18,9 +18,9 @@ earlier (X1++Y fails at Y). One loop then reads the grammar from the tokens.
 A ParseError's line counts newlines and its col counts code points since
 the last one. Digits are ASCII 0-9 and whitespace is space, tab, carriage
 return and newline: Python's \\d and \\s would also accept the digits and
-spaces of other scripts. The file formats follow the same digit rule:
-numbers in a matrix file and in a basis-file header are ASCII decimal
-digits as well.
+spaces of other scripts. The file formats follow the same rule: numbers in
+a matrix file and in a basis-file header are ASCII decimal digits, lines
+end at a newline only, and fields are separated by spaces or tabs.
 
 print_poly emits the canonical form: terms strictly descending under the
 polynomial's order, coefficients in [1, p), a coefficient of 1 elided,
@@ -30,7 +30,8 @@ polynomial prints as "0".
 content_lines is the line reader both file formats share (the generator
 matrix and the nf basis file): '#' starts a comment, blank lines are
 skipped, and each line keeps its file line and column, so that errors name
-a position in the file.
+a position in the file. Lines lose only surrounding spaces, tabs and
+carriage returns, so '\\r\\n' files read as '\\n' files.
 """
 
 from __future__ import annotations
@@ -88,15 +89,16 @@ def _scan(text: str) -> list[tuple]:
 def content_lines(text: str) -> list[tuple[int, int, str]]:
     """The non-blank lines of a file as (line, col, text), '#' comments removed.
 
-    text is the stripped line; it starts at column col of file line line,
-    both 1-based, with lines counted as str.splitlines splits the file.
+    text is the line stripped of spaces, tabs and carriage returns; it
+    starts at column col of file line line, both 1-based, with lines ending
+    at '\\n' only.
     """
     lines = []
-    for number, raw in enumerate(text.splitlines(), start=1):
+    for number, raw in enumerate(text.split("\n"), start=1):
         kept = raw.split("#", 1)[0]
-        stripped = kept.strip()
+        stripped = kept.strip(" \t\r")
         if stripped:
-            lines.append((number, len(kept) - len(kept.lstrip()) + 1, stripped))
+            lines.append((number, len(kept) - len(kept.lstrip(" \t\r")) + 1, stripped))
     return lines
 
 

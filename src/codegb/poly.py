@@ -234,7 +234,7 @@ class Polynomial:
         if not self.terms or not other.terms:
             return self.ring.zero()
         acc: dict[int, int] = {}
-        add_product(acc, 1, self, other)
+        add_product(acc, 1, self.terms, other.terms, self.ring)
         return self.ring._from_dict(acc)
 
     __rmul__ = __mul__
@@ -296,13 +296,19 @@ class Polynomial:
         return f"Polynomial({self!s})"
 
 
-def add_product(acc: dict[int, int], c: int, a: Polynomial, b: Polynomial) -> None:
-    """Add c*a*b into a word -> coefficient dict, mod p; cancelled terms leave it."""
-    p = a.ring.p
+def add_product(
+    acc: dict[int, int], c: int, a: Iterable[Term], b: Sequence[Term], ring: Ring
+) -> None:
+    """Add c*a*b into a word -> coefficient dict, mod p; cancelled terms leave it.
+
+    a and b are sequences of (coefficient, word) pairs, each with distinct
+    words: a Polynomial's terms, a single term ((c, q),), a Mora cofactor.
+    """
+    p = ring.p
     seen = 0  # the OR of all products, for one guard test
-    for c1, m1 in a.terms:
+    for c1, m1 in a:
         c1 *= c
-        for c2, m2 in b.terms:
+        for c2, m2 in b:
             m = m1 + m2
             seen |= m
             v = (acc.get(m, 0) + c1 * c2) % p
@@ -310,7 +316,7 @@ def add_product(acc: dict[int, int], c: int, a: Polynomial, b: Polynomial) -> No
                 acc[m] = v
             else:
                 acc.pop(m, None)
-    monomials.check(seen, a.ring.guards)
+    monomials.check(seen, ring.guards)
 
 
 class TermAccumulator:

@@ -64,10 +64,19 @@ def test_malformed_matrix(capsys, tmp_path):
         ("p=3\n\nk=1 n=\u0662\n1 0\n", "expected 'k=<int> n=<int>' on line 3, got 'k=1 n=\u0662'"),
         ("p=3\nk=1 n=2\n1 1_0\n", "row 1 contains a non-integer entry"),
         ("p=3\nk=1 n=2\n1 +2\n", "row 1 contains a non-integer entry"),
+        # fields are separated by spaces or tabs and lines end at '\n' only
+        ("p=3\nk=1\xa0n=2\n1 1\n", "expected 'k=<int> n=<int>' on line 2, got 'k=1\\xa0n=2'"),
+        ("p=3\nk=1 n=3\n1\xa01 1\n", "row 1 contains a non-integer entry"),
+        ("p=3\nk=1 n=2\n1 1\f\n", "row 1 contains a non-integer entry"),
+        ("p=3\nk=1 n=2\n1\u20281\n", "row 1 contains a non-integer entry"),
     ]:
         path.write_text(text, encoding="utf-8")
         code, out, err = run(capsys, "groebner", str(path))
         assert (code, out, err) == (2, "", f"error: {message}\n")
+    for text in ("p=3\r\nk=1\tn=2\r\n1\t1\r\n", "p=3\n k=1 \t n=2\t\n\t1 \t1  # row\n"):
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "groebner", str(path))
+        assert (code, out, err) == (0, "X1+2X2^2\nX2^3+2\n", "")
 
 
 def test_missing_file(capsys, tmp_path):
@@ -196,6 +205,13 @@ def test_nf_max_steps(capsys, tmp_path):
     code, out, _ = run(capsys, "nf", "X1", str(basis), "--order", "negdeglex", "--max-steps", "2")
     assert code == 0
     assert out.splitlines() == ["NF: 0", "unit: 1+2X1"]
+    # a runaway: the first divisor is a unit (leading term 2), so every term of
+    # h is reducible and h keeps recording larger intermediates
+    basis.write_text("p=3 n=3\n1X1X2X3+2+1X1X3\n2X1X2^2+1X1^2X2X3+2X2X3\n")
+    f = "2X1^2X2X3^2+2X1X2+2+2+1X1X2^3"
+    code, out, err = run(capsys, "nf", f, str(basis), "--order", "negdeglex", "--max-steps", "2000")
+    assert (code, out) == (2, "")
+    assert err == "error: weak normal form exceeded 2000 reduction steps\n"
 
 
 def test_nf_max_steps_needs_a_local_order(capsys, tmp_path):
@@ -237,14 +253,35 @@ def test_nf_bad_polynomial(capsys, tmp_path):
 
 def test_basis_file_errors_name_the_file_line_and_column(capsys, tmp_path):
     basis = tmp_path / "basis.txt"
-    basis.write_text("# a basis over F_3\np=3 n=2\n\nX1+X2  # first element\n    X1+X7\n")
-    code, out, err = run(capsys, "nf", "X1", str(basis))
-    assert (code, out) == (2, "")
-    assert err == "error: line 5 col 8: variable index 7 out of range [1, 2]\n"
-    basis.write_text("# a basis over F_3\n\n  p=3, n=2\nX1\n")
-    code, out, err = run(capsys, "nf", "X1", str(basis))
-    assert (code, out) == (2, "")
-    assert err == "error: line 3 col 3: expected 'p=<prime> n=<int>' header, got 'p=3, n=2'\n"
+    index_7 = "variable index 7 out of range [1, 2]"
+    header = "expected 'p=<prime> n=<int>' header,"
+    for text, message in [
+        (
+            "# a basis over F_3\np=3 n=2\n\nX1+X2  # first element\n    X1+X7\n",
+            f"line 5 col 8: {index_7}",
+        ),
+        (
+            "# a basis over F_3\n\n  p=3, n=2\nX1\n",
+            f"line 3 col 3: {header} got 'p=3, n=2'",
+        ),
+        # lines end at '\n' only, as in polynomial text: other line breaks are
+        # characters of the line, refused in a polynomial and kept in a comment
+        ("p=3 n=2\nX1\fX2\n", "line 2 col 3: unexpected character '\\x0c'"),
+        ("p=3 n=2\nX1\x0bX2\n", "line 2 col 3: unexpected character '\\x0b'"),
+        ("p=3 n=2\nX1+X2\u2029X1\n", "line 2 col 6: unexpected character '\\u2029'"),
+        ("p=3 n=2\n# no\u2028X1\nX1+X7\n", f"line 3 col 4: {index_7}"),
+        ("p=3 n=2\n# no\x85\nX1+X7\n", f"line 3 col 4: {index_7}"),
+        # the header's fields are separated by spaces or tabs only
+        ("p=3\xa0n=2\nX1\n", f"line 1 col 1: {header} got 'p=3\\xa0n=2'"),
+        ("p=3\u2003n=2\nX1\n", f"line 1 col 1: {header} got 'p=3\\u2003n=2'"),
+    ]:
+        basis.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "nf", "X1", str(basis))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+    for text in ("p=3\tn=2\r\nX1+X2\r\n\tX2\r\n", " p=3 \t n=2 # F_3\n\tX1+X2\t\n X2 \n"):
+        basis.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "nf", "X1", str(basis))
+        assert (code, out, err) == (0, "NF: 0\n", "")
 
 
 def test_nf_huge_prime_modulus_is_fast(capsys, tmp_path):

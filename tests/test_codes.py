@@ -15,8 +15,6 @@ from codegb.codes import (
     mi_vector,
     parse_matrix,
     random_matrix,
-    rref,
-    standard_form,
     translated_generators,
     verify_closed_form,
 )
@@ -82,6 +80,21 @@ def test_parse_rejects_bad_shapes():
         parse_matrix("p=3\n\nk=\u0661 n=2\n1 1\n")
     with pytest.raises(MatrixFormatError):
         parse_matrix("just nonsense\n")
+    # lines end at '\n' only and fields are separated by spaces or tabs only
+    for text, message in [
+        ("p=3\nk=1\xa0n=2\n1 1\n", "expected 'k=<int> n=<int>' on line 2, got 'k=1\\xa0n=2'"),
+        ("p=3\xa0\nk=1 n=2\n1 1\n", "expected 'p=<prime>' on line 1, got 'p=3\\xa0'"),
+        ("p=3\nk=1 n=2\n1\xa01\n", "row 1 contains a non-integer entry"),
+        ("p=3\nk=1 n=2\n1 1\f\n", "row 1 contains a non-integer entry"),
+        ("p=3\nk=1 n=2\n1 1\x85\n", "row 1 contains a non-integer entry"),
+        ("p=3\rk=1 n=2\r1 1\r", "expected a p= line and a k=/n= line"),
+    ]:
+        with pytest.raises(MatrixFormatError) as exc:
+            parse_matrix(text)
+        assert str(exc.value) == message
+    plain = parse_matrix("p=3\nk=1 n=2\n1 1\n")
+    for text in ("p=3\r\nk=1\tn=2\r\n1\t1\r\n", "p=3\n# a\u2028b\n\tk=1 \t n=2\r\n1 \t 1\t\n"):
+        assert parse_matrix(text) == plain
 
 
 def test_mi_vectors(G):
@@ -223,20 +236,6 @@ def test_verify_negative_control(G):
     assert report.detail
     with pytest.raises(ValueError):
         verify_closed_form(G, drop_index=10)
-
-
-def test_rref_and_standard_form():
-    rows = [[2, 0, 0, 2], [0, 1, 0, 1], [0, 0, 1, 1]]
-    reduced, pivots = rref(rows, 3)
-    assert pivots == (1, 2, 3)
-    assert reduced[0] == (1, 0, 0, 1)
-    G = standard_form(rows, 3)
-    assert G.rows[0] == (1, 0, 0, 1)
-
-    with pytest.raises(MatrixFormatError, match="pivot columns"):
-        standard_form([[0, 1, 1], [0, 0, 1]], 2)
-    with pytest.raises(MatrixFormatError, match="dependent"):
-        standard_form([[1, 0, 1], [2, 0, 2]], 3)
 
 
 def test_generator_matrix_direct_validation():

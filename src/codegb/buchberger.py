@@ -22,7 +22,7 @@ def product_criterion(f: Polynomial, g: Polynomial) -> bool:
     """True when lcm(lm f, lm g) = lm(f)*lm(g); such pairs need no reduction."""
     if not f.terms or not g.terms:
         raise ValueError("product criterion needs nonzero polynomials")
-    return monomials.coprime(f.terms[0][1], g.terms[0][1], f.ring.encoding)
+    return monomials.coprime(f.terms[0][1], g.terms[0][1], f.ring)
 
 
 def _prepare(gens: Iterable[Polynomial]) -> list[Polynomial]:
@@ -49,7 +49,7 @@ def complete(
     def queue_pairs(j: int) -> None:
         lm = basis[j].terms[0][1]
         for i in range(j):
-            gamma = monomials.lcm(basis[i].terms[0][1], lm, ring.encoding)
+            gamma = monomials.lcm(basis[i].terms[0][1], lm, ring)
             heapq.heappush(pairs, (ring.key(gamma), i, j))
 
     for j in range(len(basis)):

@@ -16,7 +16,6 @@ import argparse
 import random
 import re
 import sys
-from pathlib import Path
 
 from .buchberger import groebner, reduce_basis
 from .codes import (
@@ -37,7 +36,9 @@ _ORDER_CHOICES = [o.value for o in Order]
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    # newline="": the text as is, so content_lines alone decides where lines end
+    with open(path, encoding="utf-8", newline="") as file:
+        return file.read()
 
 
 def _make_trace(enabled: bool):

@@ -173,7 +173,7 @@ def closed_form_basis(G: GeneratorMatrix) -> list[Polynomial]:
     share a monomial, so the word -> coefficient dict needs no merging.
     """
     ring = Ring(G.p, G.n, Order.NEGDEGLEX)
-    p, binom, encode = G.p, ring.field.binom, ring.encoding.encode
+    p, binom, encode = G.p, ring.field.binom, ring.encode
     out = []
     for i in range(1, G.k + 1):
         mi = mi_vector(G, i)
@@ -235,7 +235,7 @@ def verify_closed_form(G: GeneratorMatrix, *, drop_index: int | None = None) -> 
         detail = check.detail
 
     ring = Ring(G.p, G.n, Order.NEGDEGLEX)
-    encode = ring.encoding.encode
+    encode = ring.encode
     expected = {encode(variable(i, G.n)) for i in range(1, G.k + 1)}
     expected |= {G.p * encode(variable(i, G.n)) for i in range(G.k + 1, G.n + 1)}
     actual = {f.leading_monomial for f in closed}

@@ -31,7 +31,8 @@ content_lines is the line reader both file formats share (the generator
 matrix and the nf basis file): '#' starts a comment, blank lines are
 skipped, and each line keeps its file line and column, so that errors name
 a position in the file. Lines lose only surrounding spaces, tabs and
-carriage returns, so '\\r\\n' files read as '\\n' files.
+carriage returns, so '\\r\\n' files read as '\\n' files. The CLI hands it
+a file's text untranslated, so it alone decides where a file's lines end.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ def content_lines(text: str) -> list[tuple[int, int, str]]:
 
 def parse_poly(text: str, ring: Ring) -> Polynomial:
     """Parse polynomial text into a normalized polynomial of the ring."""
-    if not text.strip():
+    if not text.strip(" \t\r\n"):
         raise ParseError("empty polynomial text", 1, 1)
     tokens = _scan(text)
     terms = []

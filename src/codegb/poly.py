@@ -3,8 +3,8 @@
 A Polynomial is a strictly descending sequence of (coefficient, monomial)
 terms under its ring's order, with no zero coefficients and no repeated
 monomials; the zero polynomial is the empty sequence. Every monomial is a
-word, one int in the format of the ring's monomials.Encoding: Ring.poly and
-Ring.term take exponent tuples, and Ring.exponents(word) gives them back.
+word, one int in the format of its ring (a Ring is a monomials.Encoding):
+Ring.poly and Ring.term take exponent tuples, Ring.exponents gives them back.
 Polynomials never leave their ring implicitly: leading-term queries are
 only meaningful for a fixed order, so rebinding to another order is the
 explicit Ring.convert operation.
@@ -33,27 +33,22 @@ from .monomials import Order
 Term = tuple[int, int]
 
 
-class Ring:
-    """Arithmetic context: F_p coefficients, n variables, one active order."""
+class Ring(monomials.Encoding):
+    """Arithmetic context: F_p coefficients, n variables, one active order.
 
-    __slots__ = (
-        "p", "n", "order", "field", "encoding", "guards", "key", "heap_key", "degree", "exponents"
-    )
+    A Ring is the monomials.Encoding of its words: word operations take the ring itself.
+    """
+
+    __slots__ = ("p", "order", "field")
+    exponents = monomials.Encoding.decode  # the exponent tuple of a word
 
     def __init__(self, p: int, n: int, order: Order):
         if n < 1:
             raise ValueError("variable count must be at least 1")
         self.field = PrimeField(p)
         self.p = p
-        self.n = n
         self.order = order
-        encoding = self.encoding = monomials.Encoding(p, n, order)
-        self.guards = encoding.guards
-        self.key = encoding.key
-        self.heap_key = encoding.heap_key
-        self.degree = encoding.degree
-        # the exponent tuple of a word: Ring.exponents(word)
-        self.exponents = encoding.decode
+        super().__init__(p, n, order)
 
     def __eq__(self, other):
         if self is other:
@@ -76,7 +71,7 @@ class Ring:
         exponent above the ring's bound raises ValueError.
         """
         acc: dict[int, int] = {}
-        encode = self.encoding.encode
+        encode = self.encode
         for coeff, mono in terms:
             m = encode(mono)
             c = (acc.get(m, 0) + coeff) % self.p
@@ -88,7 +83,7 @@ class Ring:
 
     def _from_dict(self, acc: dict[int, int]) -> Polynomial:
         """The polynomial of a word -> nonzero coefficient dict."""
-        ordered = sorted(acc, reverse=self.encoding.descending)
+        ordered = sorted(acc, reverse=self.descending)
         return Polynomial(self, tuple(zip(map(acc.__getitem__, ordered), ordered)))
 
     def zero(self) -> Polynomial:
@@ -426,7 +421,7 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     f._check_ring(g)
     ring = f.ring
     (fc, fm), (gc, gm) = f.terms[0], g.terms[0]
-    gamma = monomials.lcm(fm, gm, ring.encoding)
+    gamma = monomials.lcm(fm, gm, ring)
     inv, guards = ring.field.inv, ring.guards
     fq = monomials.quotient(gamma, fm, guards)
     gq = monomials.quotient(gamma, gm, guards)

@@ -69,6 +69,8 @@ def test_malformed_matrix(capsys, tmp_path):
         ("p=3\nk=1 n=3\n1\xa01 1\n", "row 1 contains a non-integer entry"),
         ("p=3\nk=1 n=2\n1 1\f\n", "row 1 contains a non-integer entry"),
         ("p=3\nk=1 n=2\n1\u20281\n", "row 1 contains a non-integer entry"),
+        # the CLI reads the file's text as is: a bare '\r' ends no line
+        ("p=3\rk=1 n=2\r1 1\r", "expected a p= line and a k=/n= line"),
     ]:
         path.write_text(text, encoding="utf-8")
         code, out, err = run(capsys, "groebner", str(path))
@@ -202,6 +204,8 @@ def test_nf_max_steps(capsys, tmp_path):
     code, out, err = run(capsys, "nf", "X1", str(basis), "--order", "negdeglex", "--max-steps", "0")
     assert code == 2
     assert out == "" and err == "error: weak normal form exceeded 0 reduction steps\n"
+    code, out, err = run(capsys, "nf", "X1", str(basis), "--order", "negdeglex", "--max-steps", "-1")
+    assert (code, out, err) == (2, "", "error: --max-steps must be non-negative, got -1\n")
     code, out, _ = run(capsys, "nf", "X1", str(basis), "--order", "negdeglex", "--max-steps", "2")
     assert code == 0
     assert out.splitlines() == ["NF: 0", "unit: 1+2X1"]
@@ -274,6 +278,10 @@ def test_basis_file_errors_name_the_file_line_and_column(capsys, tmp_path):
         # the header's fields are separated by spaces or tabs only
         ("p=3\xa0n=2\nX1\n", f"line 1 col 1: {header} got 'p=3\\xa0n=2'"),
         ("p=3\u2003n=2\nX1\n", f"line 1 col 1: {header} got 'p=3\\u2003n=2'"),
+        # the file's text is read as is, so a bare '\r' ends no line
+        ("p=3 n=2\rX1\r", f"line 1 col 1: {header} got 'p=3 n=2\\rX1'"),
+        ("# only a comment\n", "line 1 col 1: empty basis file"),
+        ("p=3 n=0\n", "variable count must be at least 1"),
     ]:
         basis.write_text(text, encoding="utf-8")
         code, out, err = run(capsys, "nf", "X1", str(basis))
@@ -282,6 +290,14 @@ def test_basis_file_errors_name_the_file_line_and_column(capsys, tmp_path):
         basis.write_text(text, encoding="utf-8")
         code, out, err = run(capsys, "nf", "X1", str(basis))
         assert (code, out, err) == (0, "NF: 0\n", "")
+    # inside a polynomial line '\r' is whitespace: the basis is {X1X2}
+    basis.write_text("p=3 n=2\nX1\rX2\n", encoding="utf-8")
+    code, out, err = run(capsys, "nf", "X2", str(basis))
+    assert (code, out, err) == (0, "NF: X2\n", "")
+    basis.write_bytes(b"p=3 n=2\n\xffX1\n")
+    code, out, err = run(capsys, "nf", "X1", str(basis))
+    assert (code, out) == (2, "")
+    assert err == "error: 'utf-8' codec can't decode byte 0xff in position 8: invalid start byte\n"
 
 
 def test_nf_huge_prime_modulus_is_fast(capsys, tmp_path):

@@ -241,6 +241,8 @@ def test_verify_negative_control(G):
 def test_generator_matrix_direct_validation():
     with pytest.raises(MatrixFormatError):
         GeneratorMatrix(3, 2, 3, ((1, 0, 0), (0, 2, 0)))
+    with pytest.raises(MatrixFormatError, match="^expected 2 rows, got 1$"):
+        GeneratorMatrix(3, 2, 3, ((1, 0, 1),))
 
 
 def test_random_matrix_is_deterministic():

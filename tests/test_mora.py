@@ -14,6 +14,7 @@ from codegb.codes import parse_matrix, translated_generators
 from codegb.monomials import Order, divides
 from codegb import mora
 from codegb.mora import (
+    BasisCheck,
     CertificateError,
     is_standard_basis,
     standard_basis,
@@ -310,11 +311,25 @@ def test_is_standard_basis_positive(translated):
 def test_is_standard_basis_detects_missing_element(translated):
     from codegb.codes import closed_form_basis
 
+    # one row per failure return of the verifier: a generator outside the
+    # candidate's ideal, a candidate element outside the generators' ideal,
+    # and an S-polynomial with a nonzero weak normal form
     closed = closed_form_basis(parse_matrix(EXAMPLE_MATRIX))
-    dropped = [f for f in closed if f.ring.exponents(f.leading_monomial) != (0, 0, 0, 3, 0, 0)]
-    check = is_standard_basis(dropped, translated)
-    assert not check.ok
-    assert "does not reduce to zero" in check.detail
+    ring = closed[0].ring
+    dropped = [f for f in closed if ring.exponents(f.leading_monomial) != (0, 0, 0, 3, 0, 0)]
+    small = Ring(3, 2, Order.NEGDEGLEX)
+    pair = [parse_poly("X1+X2^2", small), parse_poly("X1^2", small)]
+    for candidate, gens, detail in [
+        (dropped, translated, "generator X4^3 does not reduce to zero"),
+        (
+            closed + [ring.variable(4)],
+            translated,
+            "element X4 is not in the ideal the generators span",
+        ),
+        (pair, pair, "spoly of X1+X2^2 and X1^2 has nonzero normal form 2X2^4"),
+    ]:
+        assert is_standard_basis(candidate, gens) == BasisCheck(False, detail)
+    assert is_standard_basis([pair[0], parse_poly("X2^4", small)], pair).ok
 
 
 def test_is_standard_basis_singleton(local1):

@@ -65,8 +65,11 @@ _DIGIT_LIMIT = "Exceeds the limit (4300 digits) for integer string conversion"
 PARSE_ERRORS = [
     ("", ParseError, "empty polynomial text", 1, 1),
     ("   ", ParseError, "empty polynomial text", 1, 1),
-    ("\f", ParseError, "empty polynomial text", 1, 1),
     (" \t\r\n", ParseError, "empty polynomial text", 1, 1),
+    # blank means ASCII whitespace only; other spaces are unexpected characters
+    ("\f", ParseError, "unexpected character '\\x0c'", 1, 1),
+    ("\xa0", ParseError, "unexpected character '\\xa0'", 1, 1),
+    (" \u2028 ", ParseError, "unexpected character '\\u2028'", 1, 2),
     ("X", ParseError, "'X' must be followed by a variable index", 1, 1),
     ("X+X1", ParseError, "'X' must be followed by a variable index", 1, 1),
     ("2X", ParseError, "'X' must be followed by a variable index", 1, 2),

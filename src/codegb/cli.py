@@ -84,9 +84,6 @@ def cmd_groebner(args) -> int:
 
 def cmd_standard_basis(args) -> int:
     G = parse_matrix(_read(args.matrix))
-    order = Order(args.order)
-    if not order.is_local:
-        raise ValueError(f"standard-basis needs a local order, got {order.value}")
     if args.method == "closed-form":
         basis = closed_form_basis(G)
     else:
@@ -177,7 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_std.add_argument("matrix", help="generator matrix file")
     p_std.add_argument("--method", choices=["closed-form", "mora"], default="closed-form")
-    p_std.add_argument("--order", choices=_ORDER_CHOICES, default="negdeglex")
     p_std.add_argument("--trace", action="store_true", help="dump reduction steps to stderr")
     p_std.set_defaults(func=cmd_standard_basis)
 

@@ -91,8 +91,6 @@ def parse_matrix(text: str) -> GeneratorMatrix:
     if not m:
         raise MatrixFormatError(f"expected 'k=<int> n=<int>' on line {kn_line}, got {kn_text!r}")
     k, n = int(m.group(1)), int(m.group(2))
-    if len(body) != k:
-        raise MatrixFormatError(f"expected {k} matrix rows, got {len(body)}")
     rows = []
     for r, (_, _, line) in enumerate(body, start=1):
         entries = re.split(r"[ \t]+", line)

@@ -45,6 +45,8 @@ class Ring(monomials.Encoding):
     def __init__(self, p: int, n: int, order: Order):
         if n < 1:
             raise ValueError("variable count must be at least 1")
+        if n > 65536:  # printing costs memory per variable; a 20-byte file could ask for GBs
+            raise ValueError(f"variable count {n} exceeds 65536")
         self.field = PrimeField(p)
         self.p = p
         self.order = order
@@ -205,16 +207,12 @@ class Polynomial:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = self.ring.constant(other)
-        if not isinstance(other, Polynomial):
+        if not isinstance(other, (int, Polynomial)):
             return NotImplemented
-        self._check_ring(other)
-        return self._merge(-other)
+        return self + -other
 
     def __neg__(self):
-        p = self.ring.p
-        return Polynomial(self.ring, tuple((p - c, m) for c, m in self.terms))
+        return self * -1
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -237,7 +235,15 @@ class Polynomial:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("polynomial exponent must be a non-negative int")
-        result = self.ring.one()
+        ring = self.ring
+        p = ring.p
+        if k >= p:
+            # f^(pq + r) = F(f^q) * f^r for the Frobenius map F(g) = g^p, which
+            # sends c*X^e to c*X^(pe) since c^p = c in F_p; encode checks each p*e
+            root = self ** (k // p)
+            frobenius = ring.poly((c, [p * e for e in ring.exponents(m)]) for c, m in root.terms)
+            return frobenius * self ** (k % p)
+        result = ring.one()
         base = self
         while k:
             if k & 1:

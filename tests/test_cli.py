@@ -1,5 +1,6 @@
 """Command-line surface: output bytes, exit codes, determinism."""
 
+import argparse
 import os
 import subprocess
 import sys
@@ -8,7 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from codegb.cli import main
+from codegb import cli, codes
+from codegb.cli import build_parser, main
+from codegb.monomials import Order
+from codegb.parsing import parse_poly
+from codegb.poly import Ring
 
 from helpers import CLOSED_FORM_LINES, EXAMPLE_MATRIX, LEX_BASIS_LINES
 
@@ -64,6 +69,7 @@ def test_malformed_matrix(capsys, tmp_path):
         ("p=3\n\nk=1 n=\u0662\n1 0\n", "expected 'k=<int> n=<int>' on line 3, got 'k=1 n=\u0662'"),
         ("p=3\nk=1 n=2\n1 1_0\n", "row 1 contains a non-integer entry"),
         ("p=3\nk=1 n=2\n1 +2\n", "row 1 contains a non-integer entry"),
+        ("p=3\nk=2 n=3\n1 0 1\n", "expected 2 rows, got 1"),
         # fields are separated by spaces or tabs and lines end at '\n' only
         ("p=3\nk=1\xa0n=2\n1 1\n", "expected 'k=<int> n=<int>' on line 2, got 'k=1\\xa0n=2'"),
         ("p=3\nk=1 n=3\n1\xa01 1\n", "row 1 contains a non-integer entry"),
@@ -79,6 +85,52 @@ def test_malformed_matrix(capsys, tmp_path):
         path.write_text(text, encoding="utf-8")
         code, out, err = run(capsys, "groebner", str(path))
         assert (code, out, err) == (0, "X1+2X2^2\nX2^3+2\n", "")
+
+
+ORDERS = ["lex", "deglex", "degrevlex", "negdeglex"]
+
+# per subcommand, each argument: dest -> (option strings, choices, default, nargs)
+CLI_SURFACE = {
+    "groebner": {
+        "matrix": ((), None, None, None),
+        "order": (("--order",), ORDERS, "lex", None),
+        "trace": (("--trace",), None, False, 0),
+    },
+    "standard-basis": {
+        "matrix": ((), None, None, None),
+        "method": (("--method",), ["closed-form", "mora"], "closed-form", None),
+        "trace": (("--trace",), None, False, 0),
+    },
+    "verify": {
+        "matrix": ((), None, None, "?"),
+        "inject_drop": (("--inject-drop",), None, None, "?"),
+        "random": (("--random",), None, None, None),
+        "seed": (("--seed",), None, None, None),
+    },
+    "nf": {
+        "poly": ((), None, None, None),
+        "basis": ((), None, None, None),
+        "order": (("--order",), ORDERS, "lex", None),
+        "max_steps": (("--max-steps",), None, None, None),
+        "trace": (("--trace",), None, False, 0),
+    },
+}
+
+
+def test_cli_surface_is_pinned():
+    # a new, removed or changed option shows up here; --help wording is argparse's own
+    parser = build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    surface = {
+        name: {
+            a.dest: (tuple(a.option_strings), a.choices, a.default, a.nargs)
+            for a in sub._actions
+            if not isinstance(a, argparse._HelpAction)
+        }
+        for name, sub in commands.choices.items()
+    }
+    assert surface == CLI_SURFACE
+    assert list(surface) == list(CLI_SURFACE)
 
 
 def test_missing_file(capsys, tmp_path):
@@ -98,9 +150,25 @@ def test_standard_basis_mora(capsys, matrix_file):
     assert out.splitlines() == CLOSED_FORM_LINES  # expanded generators equal the closed form here
 
 
-def test_standard_basis_rejects_global_order(capsys, matrix_file):
-    code, _, err = run(capsys, "standard-basis", matrix_file, "--order", "lex")
-    assert code == 2 and "local" in err
+def test_standard_basis_takes_no_order_option(capsys, matrix_file):
+    # both methods work under negdeglex; --order is an unknown argument
+    with pytest.raises(SystemExit) as exc:
+        main(["standard-basis", matrix_file, "--order", "lex"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.endswith("error: unrecognized arguments: --order lex\n")
+
+
+@pytest.mark.parametrize("method", ["closed-form", "mora"])
+def test_standard_basis_over_a_large_prime_is_fast(capsys, tmp_path, method):
+    # Mora's translated generator (X2 + 1)^p goes through the Frobenius map, not p squarings
+    p = 2**61 - 1
+    matrix = tmp_path / "matrix.txt"
+    matrix.write_text(f"p={p}\nk=1 n=2\n1 {p - 1}\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "standard-basis", str(matrix), "--method", method)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (0, f"X1+{p - 1}X2\nX2^{p}\n", "")
 
 
 def test_verify_pass(capsys, matrix_file):
@@ -123,6 +191,61 @@ def test_verify_random(capsys):
     code, out, _ = run(capsys, "verify", "--random", "5", "--seed", "1")
     assert code == 0
     assert out.splitlines()[-1] == "verified 5/5"
+
+
+def test_verify_over_a_large_prime_is_fast(capsys, tmp_path):
+    matrix = tmp_path / "matrix.txt"
+    matrix.write_text("p=10007\nk=1 n=2\n1 10006\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", str(matrix))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (
+        0, "generators-match: PASS\nstandard-basis: PASS\nleading-terms: PASS\n", ""
+    )
+
+
+@pytest.mark.parametrize(
+    "basis, report",
+    [
+        (
+            "X1+X2^2\nX1^2",
+            "generators-match: PASS\nstandard-basis: FAIL\nleading-terms: FAIL\n"
+            "detail: spoly of X1+X2^2 and X1^2 has nonzero normal form 2X2^4\n",
+        ),
+        (
+            "X1+X2^2\nX2^4",
+            "generators-match: PASS\nstandard-basis: PASS\nleading-terms: FAIL\n"
+            "detail: leading-term set differs at X2^3\n",
+        ),
+    ],
+)
+def test_verify_reports_the_first_failing_check(capsys, tmp_path, monkeypatch, basis, report):
+    # the closed form and the translated generators agree, so the later checks speak
+    ring = Ring(3, 2, Order.NEGDEGLEX)
+    polys = [parse_poly(line, ring) for line in basis.splitlines()]
+    monkeypatch.setattr(codes, "closed_form_basis", lambda G: list(polys))
+    monkeypatch.setattr(codes, "translated_generators", lambda G: list(polys))
+    matrix = tmp_path / "matrix.txt"
+    matrix.write_text("p=3\nk=1 n=2\n1 0\n")
+    assert run(capsys, "verify", str(matrix)) == (1, report, "")
+
+
+def test_verify_random_reports_each_failure(capsys, monkeypatch):
+    calls = []
+
+    def fail_second(G):
+        calls.append(G)
+        if len(calls) == 2:
+            return codes.VerificationReport(False, True, True, "injected")
+        return codes.verify_closed_form(G)
+
+    monkeypatch.setattr(cli, "verify_closed_form", fail_second)
+    code, out, err = run(capsys, "verify", "--random", "3", "--seed", "0")
+    assert (code, err) == (1, "")
+    assert out == (
+        "[0] p=3 k=2 n=2: OK\n[1] p=3 k=3 n=6: FAIL\ndetail: injected\n"
+        "[2] p=2 k=1 n=5: OK\nverified 2/3\n"
+    )
 
 
 def test_verify_needs_exactly_one_mode(capsys, matrix_file):
@@ -364,6 +487,32 @@ def test_exponent_bound_follows_p(capsys, tmp_path):
     basis.write_text("p=16411 n=2\nX2\n")
     code, out, _ = run(capsys, "nf", "X1^40000", str(basis))
     assert (code, out) == (0, "NF: X1^40000\n")
+
+
+def test_variable_count_is_at_most_65536(capsys, tmp_path):
+    basis = tmp_path / "basis.txt"
+    basis.write_text("p=3 n=65536\nX1+X2\n")
+    code, out, err = run(capsys, "nf", "X1", str(basis))
+    assert (code, out, err) == (0, "NF: 2X2\n", "")
+    basis.write_text("p=3 n=65537\nX1+X2\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "nf", "X1", str(basis))
+    assert time.perf_counter() - start < 0.1
+    assert (code, out, err) == (2, "", "error: variable count 65537 exceeds 65536\n")
+
+
+def test_code_commands_need_x_to_the_p_to_fit(capsys, tmp_path):
+    # X_i^p is in every closed form: p must stay below 2^63, the 64-bit exponent bound
+    p = 9223372036854775837
+    matrix = tmp_path / "matrix.txt"
+    matrix.write_text(f"p={p}\nk=1 n=2\n1 {p - 1}\n")
+    for command in (["verify"], ["standard-basis"], ["standard-basis", "--method", "mora"]):
+        code, out, err = run(capsys, *command, str(matrix))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: exponent {p} in monomial (0, {p}) exceeds {2**63 - 1}, "
+            "the largest exponent of this ring\n"
+        )
 
 
 def test_exponent_overflow_in_a_product_exits_2(capsys, tmp_path):

@@ -72,6 +72,15 @@ def test_char_two_square():
     assert f ** 2 == parse_poly("X1^2+1", ring)
 
 
+def test_power_beyond_the_exponent_bound_raises():
+    # the Frobenius image of (X1 + 1)^(3^9) would need X1^59049 > 32767
+    ring = Ring(3, 1, Order.NEGDEGLEX)
+    f = ring.variable(1) + 1
+    assert f ** 3**9 == parse_poly("1+X1^19683", ring)
+    with pytest.raises(ValueError, match=r"exponent 59049 in monomial \(59049,\) exceeds 32767"):
+        f ** 3**10
+
+
 def test_product_expansion_builds_known_element(local6):
     square4 = (local6.variable(4) + 1) ** 2
     square6 = (local6.variable(6) + 1) ** 2

@@ -165,6 +165,23 @@ def test_mixed_rings_rejected(args):
 
 
 @st.composite
+def ring_and_small_poly(draw):
+    ring = Ring(draw(st.sampled_from((2, 3, 5))), draw(st.integers(1, 2)), draw(st.sampled_from(list(Order))))
+    return ring, polys(draw, ring, max_terms=4, max_exp=2)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(ring_and_small_poly())
+def test_power_is_the_repeated_product(args):
+    # from k = p on, f^k goes through the Frobenius map
+    ring, f = args
+    product = ring.one()
+    for k in range(ring.p**2 + 2):
+        assert f**k == product
+        product = product * f
+
+
+@st.composite
 def accumulator_runs(draw):
     ring = draw(rings())
     start = polys(draw, ring)

@@ -29,7 +29,7 @@ from .codes import (
 from .division import divide
 from .monomials import Order
 from .mora import standard_basis, weak_normal_form
-from .parsing import ParseError, content_lines, parse_poly, print_poly
+from .parsing import ParseError, content_lines, parse_poly, print_poly, too_many_digits
 from .poly import Ring
 
 _ORDER_CHOICES = [o.value for o in Order]
@@ -59,7 +59,11 @@ def _load_basis_file(text: str, order: Order):
     m = re.fullmatch(r"p=([0-9]+)[ \t]+n=([0-9]+)", header)
     if not m:
         raise ParseError(f"expected 'p=<prime> n=<int>' header, got {header!r}", line, col)
-    ring = Ring(int(m.group(1)), int(m.group(2)), order)
+    try:
+        p, n = map(int, m.groups())
+    except ValueError:  # more digits than int() converts
+        raise ParseError(too_many_digits(max(m.groups(), key=len)), line, col) from None
+    ring = Ring(p, n, order)
     basis = []
     for line, col, poly_text in body:
         try:

@@ -17,7 +17,7 @@ from . import monomials
 from .gfp import is_prime
 from .monomials import Order, variable
 from .mora import BasisCheck, is_standard_basis
-from .parsing import content_lines
+from .parsing import content_lines, too_many_digits
 from .poly import Polynomial, Ring
 
 
@@ -86,11 +86,11 @@ def parse_matrix(text: str) -> GeneratorMatrix:
     m = re.fullmatch(r"p=([0-9]+)", p_text)
     if not m:
         raise MatrixFormatError(f"expected 'p=<prime>' on line {p_line}, got {p_text!r}")
-    p = int(m.group(1))
+    p = _header_int(m.group(1), p_line)
     m = re.fullmatch(r"k=([0-9]+)[ \t]+n=([0-9]+)", kn_text)
     if not m:
         raise MatrixFormatError(f"expected 'k=<int> n=<int>' on line {kn_line}, got {kn_text!r}")
-    k, n = int(m.group(1)), int(m.group(2))
+    k, n = (_header_int(digits, kn_line) for digits in m.groups())
     rows = []
     for r, (_, _, line) in enumerate(body, start=1):
         entries = re.split(r"[ \t]+", line)
@@ -101,6 +101,13 @@ def parse_matrix(text: str) -> GeneratorMatrix:
         except ValueError:  # also int()'s limit on the number of digits
             raise MatrixFormatError(f"row {r} contains a non-integer entry") from None
     return GeneratorMatrix(p, k, n, tuple(rows))
+
+
+def _header_int(digits: str, line: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts
+        raise MatrixFormatError(f"line {line}: {too_many_digits(digits)}") from None
 
 
 def mi_vector(G: GeneratorMatrix, i: int) -> MiVector:
@@ -232,7 +239,7 @@ def verify_closed_form(G: GeneratorMatrix, *, drop_index: int | None = None) -> 
     if not check and not detail:
         detail = check.detail
 
-    ring = Ring(G.p, G.n, Order.NEGDEGLEX)
+    ring = translated[0].ring  # n >= 1 elements, even when closed is empty
     encode = ring.encode
     expected = {encode(variable(i, G.n)) for i in range(1, G.k + 1)}
     expected |= {G.p * encode(variable(i, G.n)) for i in range(G.k + 1, G.n + 1)}

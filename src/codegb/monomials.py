@@ -22,9 +22,9 @@ exactly when (b - a) & guards is 0: a field of b - a that would be
 negative borrows from above and so sets its own guard bit. The quotient is
 b - a, and the monomial 1 is the word 0 in every ring. The lcm takes the
 larger exponent of every field with one more guard-bit subtraction and
-decodes only its result, for the degree. Tuples of exponents appear
-otherwise only at the edges, through Encoding.encode and Encoding.decode,
-which pack the fields with struct in one C call.
+unpacks only its result, for the degree. Exponent tuples appear otherwise
+only at the edges, through Encoding.encode and Encoding.exponents, which
+(un)pack the fields with struct in one C call.
 
 The field width w is the smallest of 16, 32 and 64 bits whose exponent
 range exceeds 2p: the closed forms and translated generators of codes over
@@ -84,7 +84,7 @@ class Encoding:
         self._struct = struct.Struct(f"{'>' if self.descending else '<'}{n}{code}")
         if order is Order.LEX:
             self.degree_unit = 0
-            self.degree = lambda word: sum(self.decode(word))
+            self.degree = lambda word: sum(self.exponents(word))
         elif order is Order.DEGLEX:
             self.degree_unit = 1 << shift
             self.degree = lambda word: word >> shift
@@ -112,7 +112,7 @@ class Encoding:
             "the largest exponent of this ring"
         )
 
-    def decode(self, word: int) -> tuple[int, ...]:
+    def exponents(self, word: int) -> tuple[int, ...]:
         """The exponent tuple of a word."""
         return self._struct.unpack((word & self.fields).to_bytes(self.shift // 8, self._byteorder))
 
@@ -148,14 +148,14 @@ def lcm(a: int, b: int, encoding: Encoding) -> int:
     guards keeps the guard bit of exactly the fields where a's exponent is
     at least b's (no field borrows from the next). Spreading each kept guard
     bit over the bits below it selects those fields of a; the other fields
-    come from b. The degree is added from one decode of the result.
+    come from b. The degree is added from the exponents of the result.
     """
     mask, guards = encoding.fields, encoding.guards
     fa, fb = a & mask, b & mask
     ge = ((fa | guards) - fb) & guards
     ge -= ge >> (encoding.width - 1)
     fields = (fa & ge) | (fb & ~ge)
-    return fields + encoding.degree_unit * sum(encoding.decode(fields))
+    return fields + encoding.degree_unit * sum(encoding.exponents(fields))
 
 
 def coprime(a: int, b: int, encoding: Encoding) -> bool:

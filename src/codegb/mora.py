@@ -23,13 +23,13 @@ rule keeps u = c_0 and a_i = c_i exact for any reducer g.
 
 While the loop runs, h lives in a poly.TermAccumulator, so a step costs
 O(|g| log |h|) for the reducer g. Monomials are the ring's packed words
-(see monomials): the reducer scan is one divides per candidate, and a
-reducer's ecart is read off its first and last terms. The certificate
-entries are never read in leading-term order: h's are word -> coefficient
-dicts, sorted into Polynomials once, at the end, and a recorded reducer
-freezes them into tuples of (coefficient, word) pairs. The check recomputes
-u*f - sum(a_i f_i) from the returned Polynomials alone, summing term
-products into one dict.
+(see monomials): the reducer scan is one divides per candidate. A reducer
+computes its own ecart from its first and last terms, h's from its smallest
+word, which under negdeglex has the largest degree. Certificate entries are
+never read in leading-term order: h's are word -> coefficient dicts, sorted
+into Polynomials once, at the end; a recorded reducer freezes them into
+tuples of (coefficient, word) pairs. The check recomputes u*f - sum(a_i f_i)
+from the returned Polynomials alone, summing term products into one dict.
 """
 
 from __future__ import annotations
@@ -78,11 +78,11 @@ class _Reducer:
 
     __slots__ = ("poly", "lc", "lm", "cert", "ecart")
 
-    def __init__(self, poly, cert, ecart):
+    def __init__(self, poly, cert):
         self.poly = poly
         self.lc, self.lm = poly.leading_term
         self.cert = cert
-        self.ecart = ecart
+        self.ecart = ecart(poly)
 
 
 def weak_normal_form(
@@ -117,7 +117,7 @@ def weak_normal_form(
     # h = cert[0]*f - sum(cert[i+1]*f_i), so cert[0] is u and cert[i+1] is a_i
     cert: list[dict] = [{one: 1}] + [{} for _ in divisors]
     h = TermAccumulator(ring, f.terms)
-    reducers = [_Reducer(g, {i + 1: ((p - 1, one),)}, ecart(g)) for i, g in enumerate(divisors)]
+    reducers = [_Reducer(g, {i + 1: ((p - 1, one),)}) for i, g in enumerate(divisors)]
     recorded = 0
     steps = 0
 
@@ -137,11 +137,11 @@ def weak_normal_form(
             raise ValueError(f"weak normal form exceeded {max_steps} reduction steps")
         # h's ecart is never negative, so only a reducer of positive ecart can exceed it
         if g.ecart:
-            h_ecart = h.ecart()
+            h_ecart = ring.degree(min(h.coeffs)) - ring.degree(lm)
             if g.ecart > h_ecart:
                 snapshot = h.to_poly()
                 snapshot_cert = {j: tuple(zip(c.values(), c)) for j, c in enumerate(cert) if c}
-                reducers.append(_Reducer(snapshot, snapshot_cert, h_ecart))
+                reducers.append(_Reducer(snapshot, snapshot_cert))
                 recorded += 1
                 if trace:
                     trace(f"record intermediate {snapshot!s} (ecart {h_ecart} < {g.ecart})")

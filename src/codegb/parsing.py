@@ -38,6 +38,7 @@ a file's text untranslated, so it alone decides where a file's lines end.
 from __future__ import annotations
 
 import re
+import sys
 from operator import getitem
 
 from .poly import Polynomial, Ring
@@ -67,7 +68,8 @@ def _scan(text: str) -> list[tuple]:
 
     kind is 'int' or 'var' with an int value, or an operator, which is its
     own value. Integers convert in scan order, so a bad character is
-    reported only if every integer before it converts.
+    reported only if every integer before it converts; an integer too long
+    to convert is reported at its first digit.
     """
     tokens = []
     line, line_start = 1, 0
@@ -80,11 +82,21 @@ def _scan(text: str) -> list[tuple]:
         elif kind == "op":
             tokens.append((m.group(), m.group(), line, col))
         elif kind:
-            if not m.group(kind):
+            digits = m.group(kind)
+            if not digits:
                 raise ParseError("'X' must be followed by a variable index", line, col)
-            tokens.append((kind, int(m.group(kind)), line, col))
+            try:
+                tokens.append((kind, int(digits), line, col))
+            except ValueError:  # more digits than int() converts
+                col = m.start(kind) - line_start + 1
+                raise ParseError(too_many_digits(digits), line, col) from None
     tokens.append(("end", None, line, len(text) - line_start + 1))
     return tokens
+
+
+def too_many_digits(digits: str) -> str:
+    """The error for more digits than int() converts; the caller adds the position."""
+    return f"a number of {len(digits)} digits exceeds the limit of {sys.get_int_max_str_digits()}"
 
 
 def content_lines(text: str) -> list[tuple[int, int, str]]:

@@ -14,7 +14,8 @@ merge plus one sort of the words). Sums and differences of Polynomials skip
 it: both operands are already sorted, so one linear merge of the two term
 sequences is enough. Reduction loops do not build a Polynomial per step at
 all; they keep the polynomial being reduced in a TermAccumulator. Products
-sum their term products into one word -> coefficient dict (add_product).
+sum their term products into one word -> coefficient dict (add_product), and
+an int multiple c*f is f.mul_term(c, ONE).
 
 Elements of the localized ring attached to a local order are never
 materialized as fractions here; units show up only as polynomial
@@ -40,7 +41,6 @@ class Ring(monomials.Encoding):
     """
 
     __slots__ = ("p", "order", "field")
-    exponents = monomials.Encoding.decode  # the exponent tuple of a word
 
     def __init__(self, p: int, n: int, order: Order):
         if n < 1:
@@ -216,11 +216,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            c = other % self.ring.p
-            if c == 0:
-                return self.ring.zero()
-            p = self.ring.p
-            return Polynomial(self.ring, tuple(((tc * c) % p, m) for tc, m in self.terms))
+            return self.mul_term(other, monomials.ONE)
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_ring(other)
@@ -245,12 +241,13 @@ class Polynomial:
             return frobenius * self ** (k % p)
         result = ring.one()
         base = self
-        while k:
+        while True:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = base * base
 
     def mul_term(self, coeff: int, mono: int) -> Polynomial:
         """Multiply by a single term, given by its coefficient and word.
@@ -331,7 +328,7 @@ class TermAccumulator:
     a new Polynomial would cost O(|h|) or more per step. The heap holds the
     heap keys of the words, so its minimum is the largest monomial; words
     whose coefficient cancelled stay in the heap until they surface and are
-    dropped there. to_poly() sorts once.
+    dropped there. to_poly() sorts once. It keeps no ecart; mora reads h's.
     """
 
     __slots__ = ("ring", "coeffs", "heap")
@@ -386,16 +383,6 @@ class TermAccumulator:
         heappop(self.heap)
         del self.coeffs[m]
         return c, m
-
-    def ecart(self) -> int:
-        """deg(h) minus deg(lt(h)) for the nonzero accumulated polynomial h."""
-        ring, coeffs = self.ring, self.coeffs
-        # under the local order the smallest monomial has the largest degree
-        if ring.order.is_local:
-            top = ring.degree(min(coeffs, key=ring.key))
-        else:
-            top = max(map(ring.degree, coeffs))
-        return top - ring.degree(self.leading_term()[1])
 
     def to_poly(self) -> Polynomial:
         return self.ring._from_dict(self.coeffs)

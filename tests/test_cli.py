@@ -60,6 +60,9 @@ def test_groebner_rejects_local_order(capsys, matrix_file):
     assert "error" in err
 
 
+TOO_LONG = "a number of 5000 digits exceeds the limit of 4300"
+
+
 def test_malformed_matrix(capsys, tmp_path):
     path = tmp_path / "bad.txt"
     for text, message in [
@@ -68,6 +71,9 @@ def test_malformed_matrix(capsys, tmp_path):
         ("# code\np=\u0663\nk=1 n=1\n1\n", "expected 'p=<prime>' on line 2, got 'p=\u0663'"),
         ("p=3\n\nk=1 n=\u0662\n1 0\n", "expected 'k=<int> n=<int>' on line 3, got 'k=1 n=\u0662'"),
         ("p=3\nk=1 n=2\n1 1_0\n", "row 1 contains a non-integer entry"),
+        # a number longer than int() converts is refused by its digit count, not echoed
+        ("# code\np=" + "1" * 5000 + "\nk=1 n=1\n1\n", f"line 2: {TOO_LONG}"),
+        ("p=3\nk=1 n=" + "2" * 5000 + "\n1 1\n", f"line 2: {TOO_LONG}"),
         ("p=3\nk=1 n=2\n1 +2\n", "row 1 contains a non-integer entry"),
         ("p=3\nk=2 n=3\n1 0 1\n", "expected 2 rows, got 1"),
         # fields are separated by spaces or tabs and lines end at '\n' only
@@ -281,19 +287,24 @@ def test_verify_random_without_seed_uses_seed_0(capsys):
     assert default[0] == 0 and default[1].splitlines()[-1] == "verified 4/4"
 
 
+def _plain_and_optimized(command):
+    """The runs of `python -m codegb.cli *command` without and with -O, output captured."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    return [
+        subprocess.run(
+            [sys.executable, *flags, "-m", "codegb.cli", *command],
+            env=env, capture_output=True, timeout=120,
+        )
+        for flags in ([], ["-O"])
+    ]
+
+
 def test_verify_matches_under_optimize_flag(tmp_path):
     # python -O strips asserts; every check behind verify's output must survive it
     path = tmp_path / "matrix.txt"
     path.write_text(EXAMPLE_MATRIX)
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     for extra in ([], ["--inject-drop", "0"]):
-        plain, optimized = (
-            subprocess.run(
-                [sys.executable, *flags, "-m", "codegb.cli", "verify", str(path), *extra],
-                env=env, capture_output=True, timeout=120,
-            )
-            for flags in ([], ["-O"])
-        )
+        plain, optimized = _plain_and_optimized(["verify", str(path), *extra])
         assert (optimized.returncode, optimized.stdout) == (plain.returncode, plain.stdout)
         assert plain.returncode == (1 if extra else 0)
 
@@ -303,22 +314,38 @@ def test_global_path_matches_under_optimize_flag(tmp_path):
     matrix, basis = tmp_path / "matrix.txt", tmp_path / "basis.txt"
     matrix.write_text(EXAMPLE_MATRIX)
     basis.write_text(LEX_BASIS_FILE)
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     for command in (
         ["groebner", str(matrix), "--order", "degrevlex", "--trace"],
         ["nf", "X1^2X2X3+X4X5^2", str(basis), "--order", "deglex", "--trace"],
     ):
-        plain, optimized = (
-            subprocess.run(
-                [sys.executable, *flags, "-m", "codegb.cli", *command],
-                env=env, capture_output=True, timeout=120,
-            )
-            for flags in ([], ["-O"])
-        )
+        plain, optimized = _plain_and_optimized(command)
         assert (optimized.returncode, optimized.stdout, optimized.stderr) == (
             plain.returncode, plain.stdout, plain.stderr
         )
         assert plain.returncode == 0 and plain.stdout and plain.stderr.startswith(b"# ")
+
+
+def test_local_path_matches_under_optimize_flag(tmp_path):
+    # nf under negdeglex runs Mora: a recorded intermediate, and the known runaway cut
+    # by --max-steps; exit code, stdout and --trace stderr survive -O
+    small, runaway = tmp_path / "small.txt", tmp_path / "runaway.txt"
+    small.write_text("p=3 n=1\nX1+2X1^2\n")
+    runaway.write_text("p=3 n=3\n1X1X2X3+2+1X1X3\n2X1X2^2+1X1^2X2X3+2X2X3\n")
+    local = ["--order", "negdeglex", "--trace"]
+    for command, code, recorded in (
+        (["nf", "X1", str(small), *local], 0, 1),
+        (
+            ["nf", "2X1^2X2X3^2+2X1X2+2+2+1X1X2^3", str(runaway), *local, "--max-steps", "200"],
+            2,
+            8,
+        ),
+    ):
+        plain, optimized = _plain_and_optimized(command)
+        assert (optimized.returncode, optimized.stdout, optimized.stderr) == (
+            plain.returncode, plain.stdout, plain.stderr
+        )
+        assert plain.returncode == code
+        assert plain.stderr.count(b"# record intermediate ") == recorded
 
 
 def test_nf_max_steps(capsys, tmp_path):
@@ -404,6 +431,9 @@ def test_basis_file_errors_name_the_file_line_and_column(capsys, tmp_path):
         # the file's text is read as is, so a bare '\r' ends no line
         ("p=3 n=2\rX1\r", f"line 1 col 1: {header} got 'p=3 n=2\\rX1'"),
         ("# only a comment\n", "line 1 col 1: empty basis file"),
+        # a number longer than int() converts is refused at its position, not echoed
+        ("p=3 n=2\n\t X1+X2^" + "2" * 5000 + "\n", f"line 2 col 9: {TOO_LONG}"),
+        ("\n p=3 n=" + "2" * 5000 + "\nX1\n", f"line 2 col 2: {TOO_LONG}"),
         ("p=3 n=0\n", "variable count must be at least 1"),
     ]:
         basis.write_text(text, encoding="utf-8")

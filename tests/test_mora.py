@@ -2,6 +2,7 @@
 
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -21,9 +22,16 @@ from codegb.mora import (
     weak_normal_form,
 )
 from codegb.parsing import parse_poly
-from codegb.poly import Ring, s_polynomial
+from codegb.poly import Ring, ecart, s_polynomial
 
-from helpers import EXAMPLE_MATRIX, G1, naive_reduction, random_local_divisor, random_poly
+from helpers import (
+    EXAMPLE_MATRIX,
+    G1,
+    naive_reduction,
+    random_local_divisor,
+    random_nonzero_poly,
+    random_poly,
+)
 
 
 @pytest.fixture
@@ -212,6 +220,29 @@ def test_certificates_random():
         max_recorded = max(max_recorded, result.recorded)
     assert max_recorded < 50  # the reducer list stays finite
     print(f"max recorded intermediates over 200 runs: {max_recorded}")
+
+
+def test_recorded_intermediate_ecart_is_the_ecart_of_its_snapshot():
+    # the step reads h's ecart off its smallest word; a recorded reducer computes its own
+    pattern = re.compile(r"record intermediate (\S+) \(ecart (\d+) < (\d+)\)")
+    recorded = 0
+    for seed in range(100):
+        rng = random.Random(seed)
+        ring = Ring(rng.choice((2, 3, 5)), rng.randint(1, 4), Order.NEGDEGLEX)
+        f = random_nonzero_poly(ring, rng)
+        divisors = [random_local_divisor(ring, rng) for _ in range(rng.randint(1, 3))]
+        lines = []
+        try:
+            weak_normal_form(f, divisors, trace=lines.append, max_steps=2000)
+        except ValueError:
+            pass  # the lines traced before the cap still count
+        for line in lines:
+            m = pattern.fullmatch(line)
+            if m:
+                h, a, b = parse_poly(m[1], ring), int(m[2]), int(m[3])
+                assert ecart(h) == a < b
+                recorded += 1
+    assert recorded > 40
 
 
 def test_agrees_with_plain_loop_when_nothing_recorded():

@@ -55,74 +55,74 @@ def test_repeated_variable_accumulates(ring):
     assert parse_poly("X4^0", ring) == parse_poly("1", ring)
 
 
-# Every parse error, pinned: (text, exception type, message, line, col),
-# parsed in a ring with n = 2. The whole text is scanned before the grammar
-# runs, so a bad character wins over an earlier grammar error (X1++Y), and
-# integers convert in scan order, so Python's 4300-digit limit on int() wins
-# over a later bad character. Columns count code points; tabs and carriage
-# returns count one.
-_DIGIT_LIMIT = "Exceeds the limit (4300 digits) for integer string conversion"
+# Every parse error, pinned: (text, message, line, col), parsed in a ring
+# with n = 2. The whole text is scanned before the grammar runs, so a bad
+# character wins over an earlier grammar error (X1++Y), and integers convert
+# in scan order, so an integer longer than Python's 4300-digit limit on int()
+# wins over a later bad character; it is reported at its first digit.
+# Columns count code points; tabs and carriage returns count one.
+_TOO_LONG = "a number of {} digits exceeds the limit of 4300"
 PARSE_ERRORS = [
-    ("", ParseError, "empty polynomial text", 1, 1),
-    ("   ", ParseError, "empty polynomial text", 1, 1),
-    (" \t\r\n", ParseError, "empty polynomial text", 1, 1),
+    ("", "empty polynomial text", 1, 1),
+    ("   ", "empty polynomial text", 1, 1),
+    (" \t\r\n", "empty polynomial text", 1, 1),
     # blank means ASCII whitespace only; other spaces are unexpected characters
-    ("\f", ParseError, "unexpected character '\\x0c'", 1, 1),
-    ("\xa0", ParseError, "unexpected character '\\xa0'", 1, 1),
-    (" \u2028 ", ParseError, "unexpected character '\\u2028'", 1, 2),
-    ("X", ParseError, "'X' must be followed by a variable index", 1, 1),
-    ("X+X1", ParseError, "'X' must be followed by a variable index", 1, 1),
-    ("2X", ParseError, "'X' must be followed by a variable index", 1, 2),
-    ("XX1", ParseError, "'X' must be followed by a variable index", 1, 1),
-    ("X\u2081", ParseError, "'X' must be followed by a variable index", 1, 1),
-    ("2*", ParseError, "expected a variable after '*'", 1, 3),
-    ("X1*", ParseError, "expected a variable after '*'", 1, 4),
-    ("2**X1", ParseError, "expected a variable after '*'", 1, 3),
-    ("X1*2", ParseError, "expected a variable after '*'", 1, 4),
-    ("X1^", ParseError, "expected a non-negative integer exponent after '^'", 1, 4),
-    ("X1^-1", ParseError, "expected a non-negative integer exponent after '^'", 1, 4),
-    ("X1^^2", ParseError, "expected a non-negative integer exponent after '^'", 1, 4),
-    ("X1^X2", ParseError, "expected a non-negative integer exponent after '^'", 1, 4),
-    ("X1 ^ ", ParseError, "expected a non-negative integer exponent after '^'", 1, 6),
-    ("*X1", ParseError, "expected a coefficient or a variable", 1, 1),
-    ("+X1", ParseError, "expected a coefficient or a variable", 1, 1),
-    ("-", ParseError, "expected a coefficient or a variable", 1, 2),
-    ("X1-", ParseError, "expected a coefficient or a variable", 1, 4),
-    ("X1+", ParseError, "expected a coefficient or a variable", 1, 4),
-    ("--X1", ParseError, "expected a coefficient or a variable", 1, 2),
-    ("^2", ParseError, "expected a coefficient or a variable", 1, 1),
-    ("X1++X2", ParseError, "expected a coefficient or a variable", 1, 4),
-    ("X1+X2\n+", ParseError, "expected a coefficient or a variable", 2, 2),
-    ("X1 + \t\t- X3", ParseError, "expected a coefficient or a variable", 1, 8),
-    ("X1++Y", ParseError, "unexpected character 'Y'", 1, 5),
-    ("X1 2 Y", ParseError, "unexpected character 'Y'", 1, 6),
-    ("X1 +\tY", ParseError, "unexpected character 'Y'", 1, 6),
-    ("Y1", ParseError, "unexpected character 'Y'", 1, 1),
-    ("(X1)", ParseError, "unexpected character '('", 1, 1),
-    ("x1", ParseError, "unexpected character 'x'", 1, 1),
-    ("X1,X2", ParseError, "unexpected character ','", 1, 3),
-    ("X1#1", ParseError, "unexpected character '#'", 1, 3),
-    ("X1\u00b2", ParseError, "unexpected character '\u00b2'", 1, 3),
-    ("\u0663X1", ParseError, "unexpected character '\u0663'", 1, 1),
-    ("X1\xa0+X2", ParseError, "unexpected character '\\xa0'", 1, 3),
-    ("\fX1", ParseError, "unexpected character '\\x0c'", 1, 1),
-    ("2 3", ParseError, "expected '+', '-' or end of input, got 3", 1, 3),
-    ("2^3", ParseError, "expected '+', '-' or end of input, got '^'", 1, 2),
-    ("X1^2^3", ParseError, "expected '+', '-' or end of input, got '^'", 1, 5),
-    ("X1 X2 3", ParseError, "expected '+', '-' or end of input, got 3", 1, 7),
-    ("1 X1^2\n2", ParseError, "expected '+', '-' or end of input, got 2", 2, 1),
-    ("2\r\n3", ParseError, "expected '+', '-' or end of input, got 3", 2, 1),
-    ("X3", ParseError, "variable index 3 out of range [1, 2]", 1, 1),
-    ("X0", ParseError, "variable index 0 out of range [1, 2]", 1, 1),
-    ("X00", ParseError, "variable index 0 out of range [1, 2]", 1, 1),
-    ("0X3", ParseError, "variable index 3 out of range [1, 2]", 1, 2),
-    ("X2^3X9", ParseError, "variable index 9 out of range [1, 2]", 1, 5),
-    ("X1\n\n+X9", ParseError, "variable index 9 out of range [1, 2]", 3, 2),
-    ("X1+\r\n\tX3", ParseError, "variable index 3 out of range [1, 2]", 2, 2),
-    ("X1 +\t\tX3", ParseError, "variable index 3 out of range [1, 2]", 1, 7),
-    ("1" * 5000, ValueError, _DIGIT_LIMIT, None, None),
-    ("X1^" + "1" * 5000 + "+Y", ValueError, _DIGIT_LIMIT, None, None),
-    ("X" + "1" * 5000, ValueError, _DIGIT_LIMIT, None, None),
+    ("\f", "unexpected character '\\x0c'", 1, 1),
+    ("\xa0", "unexpected character '\\xa0'", 1, 1),
+    (" \u2028 ", "unexpected character '\\u2028'", 1, 2),
+    ("X", "'X' must be followed by a variable index", 1, 1),
+    ("X+X1", "'X' must be followed by a variable index", 1, 1),
+    ("2X", "'X' must be followed by a variable index", 1, 2),
+    ("XX1", "'X' must be followed by a variable index", 1, 1),
+    ("X\u2081", "'X' must be followed by a variable index", 1, 1),
+    ("2*", "expected a variable after '*'", 1, 3),
+    ("X1*", "expected a variable after '*'", 1, 4),
+    ("2**X1", "expected a variable after '*'", 1, 3),
+    ("X1*2", "expected a variable after '*'", 1, 4),
+    ("X1^", "expected a non-negative integer exponent after '^'", 1, 4),
+    ("X1^-1", "expected a non-negative integer exponent after '^'", 1, 4),
+    ("X1^^2", "expected a non-negative integer exponent after '^'", 1, 4),
+    ("X1^X2", "expected a non-negative integer exponent after '^'", 1, 4),
+    ("X1 ^ ", "expected a non-negative integer exponent after '^'", 1, 6),
+    ("*X1", "expected a coefficient or a variable", 1, 1),
+    ("+X1", "expected a coefficient or a variable", 1, 1),
+    ("-", "expected a coefficient or a variable", 1, 2),
+    ("X1-", "expected a coefficient or a variable", 1, 4),
+    ("X1+", "expected a coefficient or a variable", 1, 4),
+    ("--X1", "expected a coefficient or a variable", 1, 2),
+    ("^2", "expected a coefficient or a variable", 1, 1),
+    ("X1++X2", "expected a coefficient or a variable", 1, 4),
+    ("X1+X2\n+", "expected a coefficient or a variable", 2, 2),
+    ("X1 + \t\t- X3", "expected a coefficient or a variable", 1, 8),
+    ("X1++Y", "unexpected character 'Y'", 1, 5),
+    ("X1 2 Y", "unexpected character 'Y'", 1, 6),
+    ("X1 +\tY", "unexpected character 'Y'", 1, 6),
+    ("Y1", "unexpected character 'Y'", 1, 1),
+    ("(X1)", "unexpected character '('", 1, 1),
+    ("x1", "unexpected character 'x'", 1, 1),
+    ("X1,X2", "unexpected character ','", 1, 3),
+    ("X1#1", "unexpected character '#'", 1, 3),
+    ("X1\u00b2", "unexpected character '\u00b2'", 1, 3),
+    ("\u0663X1", "unexpected character '\u0663'", 1, 1),
+    ("X1\xa0+X2", "unexpected character '\\xa0'", 1, 3),
+    ("\fX1", "unexpected character '\\x0c'", 1, 1),
+    ("2 3", "expected '+', '-' or end of input, got 3", 1, 3),
+    ("2^3", "expected '+', '-' or end of input, got '^'", 1, 2),
+    ("X1^2^3", "expected '+', '-' or end of input, got '^'", 1, 5),
+    ("X1 X2 3", "expected '+', '-' or end of input, got 3", 1, 7),
+    ("1 X1^2\n2", "expected '+', '-' or end of input, got 2", 2, 1),
+    ("2\r\n3", "expected '+', '-' or end of input, got 3", 2, 1),
+    ("X3", "variable index 3 out of range [1, 2]", 1, 1),
+    ("X0", "variable index 0 out of range [1, 2]", 1, 1),
+    ("X00", "variable index 0 out of range [1, 2]", 1, 1),
+    ("0X3", "variable index 3 out of range [1, 2]", 1, 2),
+    ("X2^3X9", "variable index 9 out of range [1, 2]", 1, 5),
+    ("X1\n\n+X9", "variable index 9 out of range [1, 2]", 3, 2),
+    ("X1+\r\n\tX3", "variable index 3 out of range [1, 2]", 2, 2),
+    ("X1 +\t\tX3", "variable index 3 out of range [1, 2]", 1, 7),
+    ("1" * 5000, _TOO_LONG.format(5000), 1, 1),
+    ("X1^" + "1" * 5000 + "+Y", _TOO_LONG.format(5000), 1, 4),
+    ("X" + "1" * 5000, _TOO_LONG.format(5000), 1, 2),
 ]
 
 
@@ -131,19 +131,16 @@ def _case_id(text):
 
 
 @pytest.mark.parametrize(
-    "text, kind, message, line, col",
+    "text, message, line, col",
     [pytest.param(*case, id=_case_id(case[0])) for case in PARSE_ERRORS],
 )
-def test_parse_errors(text, kind, message, line, col):
-    with pytest.raises(ValueError) as err:
+def test_parse_errors(text, message, line, col):
+    with pytest.raises(ParseError) as err:
         parse_poly(text, Ring(3, 2, Order.NEGDEGLEX))
-    assert type(err.value) is kind
-    if kind is ParseError:
-        assert (str(err.value), err.value.line, err.value.col) == (
-            f"line {line} col {col}: {message}", line, col
-        )
-    else:
-        assert str(err.value).startswith(message)
+    assert type(err.value) is ParseError
+    assert (str(err.value), err.value.line, err.value.col) == (
+        f"line {line} col {col}: {message}", line, col
+    )
 
 
 @st.composite

@@ -1,12 +1,13 @@
 """Polynomial normalization, arithmetic, leading data, reduction, ecart."""
 
+import math
 import random
 
 import pytest
 
 from codegb.monomials import Order, divides, lcm
 from codegb.parsing import parse_poly
-from codegb.poly import Ring, ecart, s_polynomial
+from codegb.poly import Polynomial, Ring, ecart, s_polynomial
 
 from helpers import G1, exponent_terms, random_nonzero_poly, random_poly, reduce_step
 
@@ -79,6 +80,27 @@ def test_power_beyond_the_exponent_bound_raises():
     assert f ** 3**9 == parse_poly("1+X1^19683", ring)
     with pytest.raises(ValueError, match=r"exponent 59049 in monomial \(59049,\) exceeds 32767"):
         f ** 3**10
+
+
+def test_power_squares_the_base_only_while_bits_remain(monkeypatch):
+    # below p, f^k costs popcount(k) products into the result and bit_length(k) - 1 squarings
+    ring = Ring(7, 1, Order.NEGDEGLEX)
+    f = ring.variable(1) + 1
+    products = []
+    mul = Polynomial.__mul__
+
+    def counting_mul(self, other):
+        if isinstance(other, Polynomial):
+            products.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting_mul)
+    counts = []
+    for k in range(1, 7):
+        products.clear()
+        assert f**k == ring.poly((math.comb(k, t), (t,)) for t in range(k + 1))
+        counts.append(len(products))
+    assert counts == [k.bit_count() + k.bit_length() - 1 for k in range(1, 7)] == [1, 2, 3, 3, 4, 4]
 
 
 def test_product_expansion_builds_known_element(local6):

@@ -15,7 +15,7 @@ from codegb import monomials
 from codegb.division import divide
 from codegb.monomials import Order, divides
 from codegb.mora import weak_normal_form
-from codegb.poly import Ring, TermAccumulator, ecart
+from codegb.poly import Ring, TermAccumulator
 
 from helpers import (
     compare,
@@ -74,7 +74,7 @@ def test_monomial_ops_are_componentwise(args):
     ring, a, b = args
     guards = ring.guards
     wa, wb = ring.encode(a), ring.encode(b)
-    assert ring.decode(wa) == a and ring.exponents(wb) == b
+    assert ring.exponents(wa) == a and ring.exponents(wb) == b
     assert (wa == wb) == (a == b)
     ka, kb = ring.key(wa), ring.key(wb)
     assert (ka > kb) - (ka < kb) == compare(ring.order, a, b)
@@ -212,7 +212,6 @@ def test_accumulator_matches_polynomial_arithmetic(args):
         assert bool(acc) == bool(expected)
         if expected:
             assert acc.leading_term() == expected.leading_term
-            assert acc.ecart() == ecart(expected)
     popped = []
     while acc:
         popped.append(acc.pop_leading())

@@ -25,7 +25,19 @@ end at a newline only, and fields are separated by spaces or tabs.
 print_poly emits the canonical form: terms strictly descending under the
 polynomial's order, coefficients in [1, p), a coefficient of 1 elided,
 '^1' elided, variables juxtaposed, and terms joined by '+'. The zero
-polynomial prints as "0".
+polynomial prints as "0". A polynomial of at most 8n terms is printed term
+by term, with one decode of the word and one n-way join per term. A larger
+one splits the variables into at most three groups of ceil(n/3). Each
+group's text is memoized by the word's bits in the group's fields, so a
+decode happens once per distinct group text, and C-level map, zip and join
+assemble the terms. Cost model: the memo pays a fixed set-up, one decode
+per distinct group text (at least one per group, at most one per group and
+term), and per term four dict lookups (the coefficient's text and three
+groups) and one join, a fraction of a decode. On closed forms, whose
+exponents form a grid, it breaks even with the per-term loop near 8n
+terms; the 6 048-term closed form of a p=7, n=9 code takes 123 decodes.
+Where group texts rarely repeat, as in a large random polynomial, it pays
+up to three decodes per term.
 
 content_lines is the line reader both file formats share (the generator
 matrix and the nf basis file): '#' starts a comment, blank lines are
@@ -41,6 +53,7 @@ import re
 import sys
 from operator import getitem
 
+from .monomials import ONE
 from .poly import Polynomial, Ring
 
 
@@ -150,6 +163,12 @@ def parse_poly(text: str, ring: Ring) -> Polynomial:
                     raise ParseError("expected a non-negative integer exponent after '^'", line, col)
                 i += 2
             mono[index - 1] += exponent
+            if mono[index - 1] > ring.bound:  # at the exponent that crosses the bound
+                raise ParseError(
+                    f"exponent of X{index} exceeds {ring.bound}, the largest exponent of this ring",
+                    line,
+                    col,
+                )
         terms.append((sign * coeff, tuple(mono)))
         kind, value, line, col = tokens[i]
         if kind == "end":
@@ -171,19 +190,58 @@ class _Powers(dict):
         return text
 
 
+_GROUPS = 3  # print_poly's memo groups of variables at most; their number does not grow with n
+
+
+class _Group(dict):
+    """The text of the variables X_(lo+1) .. X_hi by a word's bits under mask, their fields.
+
+    A miss decodes the bits, so each distinct text of the group is built once.
+    """
+
+    def __init__(self, ring: Ring, powers: list[_Powers], lo: int, hi: int):
+        super().__init__()
+        width = ring.width
+        self.mask = ((1 << (hi - lo) * width) - 1) << (ring.n - hi if ring.descending else lo) * width
+        self.exponents = ring.exponents
+        self.powers = powers[lo:hi]
+        self.run = slice(lo, hi)
+
+    def __missing__(self, bits: int) -> str:
+        text = self[bits] = "".join(map(getitem, self.powers, self.exponents(bits)[self.run]))
+        return text
+
+
 def print_poly(f: Polynomial) -> str:
     """Canonical text form; parse_poly(print_poly(f)) == f."""
     if f.is_zero:
         return "0"
-    parts = []
-    exponents = f.ring.exponents
-    powers = [_Powers(f"X{i}") for i in range(1, f.ring.n + 1)]
-    for coeff, word in f.terms:
-        vars_part = "".join(map(getitem, powers, exponents(word)))
-        if not vars_part:
-            parts.append(str(coeff))
-        elif coeff == 1:
-            parts.append(vars_part)
-        else:
-            parts.append(f"{coeff}{vars_part}")
-    return "+".join(parts)
+    terms = f.terms
+    n = f.ring.n
+    powers = [_Powers(f"X{i}") for i in range(1, n + 1)]
+    if len(terms) <= 8 * n:
+        parts = []
+        exponents = f.ring.exponents
+        for coeff, word in terms:
+            vars_part = "".join(map(getitem, powers, exponents(word)))
+            if not vars_part:
+                parts.append(str(coeff))
+            elif coeff == 1:
+                parts.append(vars_part)
+            else:
+                parts.append(f"{coeff}{vars_part}")
+        return "+".join(parts)
+    # the monomial 1 sorts first (negdeglex) or last, and prints as its coefficient
+    first = last = ""
+    if terms[0][1] == ONE:
+        first, terms = f"{terms[0][0]}+", terms[1:]
+    elif terms[-1][1] == ONE:
+        terms, last = terms[:-1], f"+{terms[-1][0]}"
+    coeffs, words = zip(*terms)
+    coefficient_text = {c: str(c) for c in set(coeffs)} | {1: ""}
+    columns = [map(coefficient_text.__getitem__, coeffs)]
+    size = -(-n // _GROUPS)
+    for lo in range(0, n, size):
+        group = _Group(f.ring, powers, lo, min(lo + size, n))
+        columns.append(map(group.__getitem__, map(group.mask.__and__, words)))
+    return first + "+".join(map("".join, zip(*columns))) + last

@@ -191,6 +191,23 @@ def reduce_step(f: Polynomial, g: Polynomial) -> Polynomial:
     return f - g.mul_term(qc, qm)
 
 
+def ref_print_poly(f: Polynomial) -> str:
+    """The canonical text of f, written term by term from each word's exponent tuple."""
+    if f.is_zero:
+        return "0"
+    parts = []
+    for coeff, word in f.terms:
+        exponents = enumerate(f.ring.exponents(word), start=1)
+        vars_part = "".join(f"X{i}" if e == 1 else f"X{i}^{e}" for i, e in exponents if e)
+        if not vars_part:
+            parts.append(str(coeff))
+        elif coeff == 1:
+            parts.append(vars_part)
+        else:
+            parts.append(f"{coeff}{vars_part}")
+    return "+".join(parts)
+
+
 def exponent_terms(f: Polynomial):
     """f's terms with each word decoded: (coefficient, exponent tuple) pairs."""
     return tuple((c, f.ring.exponents(m)) for c, m in f.terms)

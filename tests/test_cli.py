@@ -1,6 +1,7 @@
 """Command-line surface: output bytes, exit codes, determinism."""
 
 import argparse
+import hashlib
 import os
 import subprocess
 import sys
@@ -175,6 +176,38 @@ def test_standard_basis_over_a_large_prime_is_fast(capsys, tmp_path, method):
     code, out, err = run(capsys, "standard-basis", str(matrix), "--method", method)
     assert time.perf_counter() - start < 1.0
     assert (code, out, err) == (0, f"X1+{p - 1}X2\nX2^{p}\n", "")
+
+
+# p=7 codes whose closed forms have 1 016, 3 045 and 7 168 terms (the largest
+# element of the last has 6 048): the sha256 of `standard-basis` stdout, which
+# both methods print byte for byte
+LARGE_OUTPUTS = [
+    pytest.param(
+        "p=7\nk=4 n=9\n1 0 0 0 0 1 1 0 6\n0 1 0 0 1 3 0 2 4\n0 0 1 0 6 0 5 0 0\n0 0 0 1 5 0 2 6 6\n",
+        "1dc975bae8f6cc7d8907cac69adaf81d167dfb663920e1e1f8d6054cfff2be7f",
+        id="1016-terms",
+    ),
+    pytest.param(
+        "p=7\nk=2 n=9\n1 0 6 1 0 2 6 0 3\n0 1 0 1 0 3 5 1 5\n",
+        "83d70a1b66ebe37693b40b667a420e8c514833d94f43ab550f13767649127b1c",
+        id="3045-terms",
+    ),
+    pytest.param(
+        "p=7\nk=2 n=9\n1 0 6 0 1 0 4 3 4\n0 1 6 2 6 1 5 4 5\n",
+        "7fd27ef593ce177af8df59d76cbc30ef05fd3030af905c8147eee58c12b5fb31",
+        id="7168-terms",
+    ),
+]
+
+
+@pytest.mark.parametrize("method", ["closed-form", "mora"])
+@pytest.mark.parametrize("text, digest", LARGE_OUTPUTS)
+def test_large_standard_basis_outputs_are_pinned(capsys, tmp_path, text, digest, method):
+    matrix = tmp_path / "matrix.txt"
+    matrix.write_text(text)
+    code, out, err = run(capsys, "standard-basis", str(matrix), "--method", method)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_pass(capsys, matrix_file):
@@ -434,6 +467,11 @@ def test_basis_file_errors_name_the_file_line_and_column(capsys, tmp_path):
         # a number longer than int() converts is refused at its position, not echoed
         ("p=3 n=2\n\t X1+X2^" + "2" * 5000 + "\n", f"line 2 col 9: {TOO_LONG}"),
         ("\n p=3 n=" + "2" * 5000 + "\nX1\n", f"line 2 col 2: {TOO_LONG}"),
+        # so is an exponent above the ring's bound
+        (
+            "p=3 n=2\nX2\n  X1+X2^" + "9" * 4000 + "\n",
+            "line 3 col 9: exponent of X2 exceeds 32767, the largest exponent of this ring",
+        ),
         ("p=3 n=0\n", "variable count must be at least 1"),
     ]:
         basis.write_text(text, encoding="utf-8")
@@ -507,10 +545,7 @@ def test_exponent_bound_follows_p(capsys, tmp_path):
     basis.write_text("p=3 n=2\nX2\n")
     code, out, err = run(capsys, "nf", "X1^40000", str(basis))
     assert (code, out) == (2, "")
-    assert err == (
-        "error: exponent 40000 in monomial (40000, 0) exceeds 32767, "
-        "the largest exponent of this ring\n"
-    )
+    assert err == "error: line 1 col 4: exponent of X1 exceeds 32767, the largest exponent of this ring\n"
     code, out, _ = run(capsys, "nf", "X1^32767", str(basis))
     assert (code, out) == (0, "NF: X1^32767\n")
     # a larger p gets 32-bit fields

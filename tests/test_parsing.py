@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from codegb import monomials
+from codegb.codes import closed_form_basis, parse_matrix
 from codegb.monomials import Order
 from codegb.parsing import ParseError, parse_poly, print_poly
 from codegb.poly import Ring
 
-from helpers import G2, random_poly
+from helpers import G2, random_poly, ref_print_poly
 
 
 @pytest.fixture
@@ -53,6 +55,7 @@ def test_signs(ring):
 def test_repeated_variable_accumulates(ring):
     assert parse_poly("X4X4", ring) == parse_poly("X4^2", ring)
     assert parse_poly("X4^0", ring) == parse_poly("1", ring)
+    assert parse_poly("X4^16384X4^16383", ring) == ring.term(1, (0, 0, 0, 32767, 0, 0))
 
 
 # Every parse error, pinned: (text, message, line, col), parsed in a ring
@@ -62,6 +65,7 @@ def test_repeated_variable_accumulates(ring):
 # wins over a later bad character; it is reported at its first digit.
 # Columns count code points; tabs and carriage returns count one.
 _TOO_LONG = "a number of {} digits exceeds the limit of 4300"
+_ABOVE_BOUND = "exponent of X{} exceeds 32767, the largest exponent of this ring"
 PARSE_ERRORS = [
     ("", "empty polynomial text", 1, 1),
     ("   ", "empty polynomial text", 1, 1),
@@ -123,6 +127,11 @@ PARSE_ERRORS = [
     ("1" * 5000, _TOO_LONG.format(5000), 1, 1),
     ("X1^" + "1" * 5000 + "+Y", _TOO_LONG.format(5000), 1, 4),
     ("X" + "1" * 5000, _TOO_LONG.format(5000), 1, 2),
+    # an exponent above the ring's bound is refused where it crosses the bound, not echoed
+    ("X1^32768", _ABOVE_BOUND.format(1), 1, 4),
+    ("X2 + 2X1X2^" + "9" * 4000, _ABOVE_BOUND.format(2), 1, 12),
+    ("X1^32767X2X1^0\n  X1", _ABOVE_BOUND.format(1), 2, 3),
+    ("X1^16384 X2 X1^16384", _ABOVE_BOUND.format(1), 1, 16),
 ]
 
 
@@ -232,3 +241,60 @@ def test_print_is_injective_spot_check():
         if text in seen:
             assert seen[text] == f
         seen[text] = f
+
+
+def _spread_poly(ring: Ring, rng, count: int, constant: bool):
+    """A polynomial of count terms, the monomial 1 among them iff constant.
+
+    Exponents are mostly 0, 1 and the ring's bound, so that large
+    polynomials repeat the texts of print_poly's groups of variables;
+    coefficients are mostly 1 and p - 1.
+    """
+    p, n = ring.p, ring.n
+    terms = {(0,) * n: rng.choice((1, p - 1))} if constant else {}
+    while len(terms) < count:
+        mono = tuple(
+            rng.choice((0, 1, ring.bound)) if rng.random() < 0.8 else rng.randint(2, 40)
+            for _ in range(n)
+        )
+        if any(mono):
+            terms[mono] = rng.choice((1, p - 1, rng.randrange(1, p)))
+    return ring.poly((c, mono) for mono, c in terms.items())
+
+
+@pytest.mark.parametrize("order", list(Order), ids=lambda order: order.value)
+@pytest.mark.parametrize("p", [3, 16411, 2147483647])  # 16-, 32- and 64-bit fields
+def test_print_matches_the_reference_printer(order, p):
+    rng = random.Random(p)
+    for n in (1, 2, 3, 8, 9, 10, 17):
+        ring = Ring(p, n, order)
+        # print_poly runs its per-term loop up to 8n terms and its group memo above
+        for count in (1, 4 * n, 8 * n, 8 * n + 1, 16 * n):
+            for constant in (False, True):
+                f = _spread_poly(ring, rng, count, constant)
+                assert len(f.terms) == count
+                text = print_poly(f)
+                assert text == ref_print_poly(f)
+                assert parse_poly(text, ring) == f
+                if constant:
+                    assert f.terms[0 if order.is_local else -1][1] == monomials.ONE
+
+
+def test_large_print_decodes_each_group_text_once(monkeypatch):
+    # the largest closed form of a p=7, k=2, n=9 code: 6 048 terms in 9 variables
+    G = parse_matrix("p=7\nk=2 n=9\n1 0 6 0 1 0 4 3 4\n0 1 6 2 6 1 5 4 5\n")
+    f = max(closed_form_basis(G), key=lambda f: len(f.terms))
+    assert len(f.terms) == 6048
+    decode = monomials.Encoding.exponents
+    calls = 0
+
+    def counted(self, word):
+        nonlocal calls
+        calls += 1
+        return decode(self, word)
+
+    monkeypatch.setattr(monomials.Encoding, "exponents", counted)
+    text = print_poly(f)
+    assert calls == 123  # one decode per distinct group text, not one per term
+    monkeypatch.undo()
+    assert text == ref_print_poly(f)

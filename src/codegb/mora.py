@@ -18,18 +18,24 @@ raises CertificateError, also under python -O.
 Every reducer, h included, is a combination c_0*f - sum(c_i f_i), and its
 certificate is that vector (c_0, c_1, ..., c_s): an original divisor f_i is
 0*f - (-1)*f_i, and h starts as 1*f. A step h -= q*g applies the same update
-c_j -= q*g.c_j (one poly.add_product) to every position g carries, so one
-rule keeps u = c_0 and a_i = c_i exact for any reducer g.
+c_j -= q*g.c_j to every position g carries, so one rule keeps u = c_0 and
+a_i = c_i exact for any reducer g.
 
-While the loop runs, h lives in a poly.TermAccumulator, so a step costs
-O(|g| log |h|) for the reducer g. Monomials are the ring's packed words
-(see monomials): the reducer scan is one divides per candidate. A reducer
-computes its own ecart from its first and last terms, h's from its smallest
-word, which under negdeglex has the largest degree. Certificate entries are
-never read in leading-term order: h's are word -> coefficient dicts, sorted
-into Polynomials once, at the end; a recorded reducer freezes them into
-tuples of (coefficient, word) pairs. The check recomputes u*f - sum(a_i f_i)
-from the returned Polynomials alone, summing term products into one dict.
+While the loop runs, h lives in a poly.TermAccumulator. A step costs the
+work it does: a one-term g (a pure power X_j^p of a closed form, a monomial
+divisor) cancels exactly h's leading term, which is popped; a longer g
+costs O(|g| log |h|) through add_multiple. A certificate c*1 at one
+position (every original divisor's) is one dict update at q's monomial;
+any other goes through poly.add_product. Either way the step makes one
+field inverse and the scan one divides per candidate. Monomials are the
+ring's packed words (see monomials). A reducer computes its own ecart from
+its first and last terms, h's from its smallest word, which under negdeglex
+has the largest degree. Certificate entries are never read in leading-term
+order: h's are word -> coefficient dicts, sorted into Polynomials once, at
+the end (the divisors that never reduced share one zero); a recorded
+reducer freezes them into tuples of (coefficient, word) pairs. The check
+recomputes u*f - sum(a_i f_i) from the returned Polynomials alone, summing
+the term products of the nonzero cofactors into one dict.
 """
 
 from __future__ import annotations
@@ -74,15 +80,23 @@ class _Reducer:
     only the nonzero positions: {i+1: ((-1, ONE),)} for the original divisor
     f_i, a snapshot of h's own vector for a recorded intermediate. The leading
     term and the ecart are cached because every step scans every reducer.
+    single tells whether g is one term; entry is (j, c) for a certificate
+    c*1 at position j alone (every original divisor's), else None.
     """
 
-    __slots__ = ("poly", "lc", "lm", "cert", "ecart")
+    __slots__ = ("poly", "lc", "lm", "cert", "ecart", "single", "entry")
 
     def __init__(self, poly, cert):
         self.poly = poly
         self.lc, self.lm = poly.leading_term
         self.cert = cert
         self.ecart = ecart(poly)
+        self.single = len(poly.terms) == 1
+        self.entry = None
+        if len(cert) == 1:
+            ((j, t),) = cert.items()
+            if len(t) == 1 and t[0][1] == monomials.ONE:
+                self.entry = (j, t[0][0])
 
 
 def weak_normal_form(
@@ -113,6 +127,7 @@ def weak_normal_form(
     divisors = check_divisors(f, divisors)
 
     p, guards = ring.p, ring.guards
+    divides, quotient, inv = monomials.divides, monomials.quotient, ring.field.inv
     one = monomials.ONE
     # h = cert[0]*f - sum(cert[i+1]*f_i), so cert[0] is u and cert[i+1] is a_i
     cert: list[dict] = [{one: 1}] + [{} for _ in divisors]
@@ -126,7 +141,7 @@ def weak_normal_form(
         # the earliest matching reducer of least ecart; none is below 0
         g = None
         for r in reducers:
-            if (g is None or r.ecart < g.ecart) and monomials.divides(r.lm, lm, guards):
+            if (g is None or r.ecart < g.ecart) and divides(r.lm, lm, guards):
                 g = r
                 if not g.ecart:
                     break
@@ -145,20 +160,33 @@ def weak_normal_form(
                 recorded += 1
                 if trace:
                     trace(f"record intermediate {snapshot!s} (ecart {h_ecart} < {g.ecart})")
-        qc = lc * ring.field.inv(g.lc) % p
-        qm = monomials.quotient(lm, g.lm, guards)
+        qc = lc * inv(g.lc) % p
+        qm = quotient(lm, g.lm, guards)
         if trace:
             trace(f"reduce {Polynomial(ring, ((lc, lm),))!s} by {g.poly!s}")
         # Only a recorded g carries position 0, and then q has monomial < 1
         # (lm strictly dropped since g was recorded), so lt(u) = 1 survives.
-        for j, t in g.cert.items():
-            add_product(cert[j], -qc, ((1, qm),), t, ring)
-        h.add_multiple(-qc, qm, g.poly)
+        if g.entry is None:
+            for j, t in g.cert.items():
+                add_product(cert[j], -qc, ((1, qm),), t, ring)
+        else:  # add_product's one term, at qm, which passed quotient's guard test
+            j, c = g.entry
+            a = cert[j]
+            v = (a.get(qm, 0) - qc * c) % p
+            if v:
+                a[qm] = v
+            else:
+                a.pop(qm, None)
+        if g.single:  # q*g is exactly h's leading term
+            h.pop_leading()
+        else:
+            h.add_multiple(-qc, qm, g.poly)
 
+    zero = ring.zero()  # shared by the divisors that never reduced, as in division.divide
     result = WeakNormalForm(
         h.to_poly(),
         ring._from_dict(cert[0]),
-        tuple(ring._from_dict(a) for a in cert[1:]),
+        tuple(ring._from_dict(a) if a else zero for a in cert[1:]),
         recorded,
     )
     _check_certificate(f, divisors, result)
@@ -178,7 +206,8 @@ def _check_certificate(
     acc: dict[int, int] = {}
     add_product(acc, 1, result.unit.terms, f.terms, ring)
     for a, g in zip(result.coefficients, divisors):
-        add_product(acc, -1, a.terms, g.terms, ring)
+        if a:
+            add_product(acc, -1, a.terms, g.terms, ring)
     if ring._from_dict(acc) != result.normal_form:
         raise CertificateError("certificate identity u*f = sum(a_i f_i) + h violated")
     if not result.unit or result.unit.leading_term != (1, monomials.ONE):

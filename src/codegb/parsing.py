@@ -26,14 +26,17 @@ print_poly emits the canonical form: terms strictly descending under the
 polynomial's order, coefficients in [1, p), a coefficient of 1 elided,
 '^1' elided, variables juxtaposed, and terms joined by '+'. The zero
 polynomial prints as "0". A polynomial of at most 8n terms is printed term
-by term, with one decode of the word and one n-way join per term. A larger
-one splits the variables into at most three groups of ceil(n/3). Each
-group's text is memoized by the word's bits in the group's fields, so a
-decode happens once per distinct group text, and C-level map, zip and join
-assemble the terms. Cost model: the memo pays a fixed set-up, one decode
-per distinct group text (at least one per group, at most one per group and
-term), and per term four dict lookups (the coefficient's text and three
-groups) and one join, a fraction of a decode. On closed forms, whose
+by term, with one decode of the word and one join per term over the
+variables that occur in some term; one decode of the OR of the words names
+those variables, and only they get a text table, so printing 2X2 in a ring
+of 65 536 variables builds one. A larger one splits the variables into at
+most three groups of ceil(n/3). Each group's text is memoized by the word's
+bits in the group's fields, so a decode happens once per distinct group
+text, and C-level map, zip and join assemble the terms. Cost model: the
+memo pays a fixed set-up, one decode per distinct group text (at least one
+per group, at most one per group and term), and per term four dict lookups
+(the coefficient's text and three groups) and one join, a fraction of a
+decode. On closed forms, whose
 exponents form a grid, it breaks even with the per-term loop near 8n
 terms; the 6 048-term closed form of a p=7, n=9 code takes 123 decodes.
 Where group texts rarely repeat, as in a large random polynomial, it pays
@@ -51,7 +54,9 @@ from __future__ import annotations
 
 import re
 import sys
-from operator import getitem
+from functools import reduce
+from itertools import compress
+from operator import getitem, itemgetter, or_
 
 from .monomials import ONE
 from .poly import Polynomial, Ring
@@ -218,12 +223,14 @@ def print_poly(f: Polynomial) -> str:
         return "0"
     terms = f.terms
     n = f.ring.n
-    powers = [_Powers(f"X{i}") for i in range(1, n + 1)]
     if len(terms) <= 8 * n:
-        parts = []
+        # a field of the OR of the words is nonzero iff its variable occurs in some term
         exponents = f.ring.exponents
+        occurs = exponents(reduce(or_, map(itemgetter(1), terms)))
+        powers = [_Powers(f"X{i}") for i in compress(range(1, n + 1), occurs)]
+        parts = []
         for coeff, word in terms:
-            vars_part = "".join(map(getitem, powers, exponents(word)))
+            vars_part = "".join(map(getitem, powers, compress(exponents(word), occurs)))
             if not vars_part:
                 parts.append(str(coeff))
             elif coeff == 1:
@@ -238,6 +245,7 @@ def print_poly(f: Polynomial) -> str:
     elif terms[-1][1] == ONE:
         terms, last = terms[:-1], f"+{terms[-1][0]}"
     coeffs, words = zip(*terms)
+    powers = [_Powers(f"X{i}") for i in range(1, n + 1)]  # n < len(terms) / 8 here
     coefficient_text = {c: str(c) for c in set(coeffs)} | {1: ""}
     columns = [map(coefficient_text.__getitem__, coeffs)]
     size = -(-n // _GROUPS)

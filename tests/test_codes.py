@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from codegb import monomials
+from codegb import gfp, monomials, mora
 from codegb.buchberger import groebner, reduce_basis
 from codegb.codes import (
     GeneratorMatrix,
@@ -31,6 +31,7 @@ from helpers import (
     count_calls,
     random_code,
     random_codeword,
+    wrap_everywhere,
 )
 
 
@@ -261,3 +262,41 @@ def test_verifying_draw_172_makes_a_pinned_number_of_divides_and_lcm_calls(monke
     report = verify_closed_form(GeneratorMatrix(5, 1, 6, ((1, 1, 2, 1, 1, 2),)))
     assert report.ok
     assert counts == {"divides": 40047, "lcm": 30}
+
+
+@pytest.mark.parametrize(
+    "G, calls, steps",
+    [
+        # draw #172, as above
+        (GeneratorMatrix(5, 1, 6, ((1, 1, 2, 1, 1, 2),)), 17, 10007),
+        # a verify-wide code: its 304-term closed form reduces by pure powers X_j^5
+        (GeneratorMatrix(5, 1, 5, ((1, 1, 1, 2, 3),)), 14, 1206),
+    ],
+)
+def test_verifier_makes_a_pinned_number_of_weak_normal_forms_and_steps(monkeypatch, G, calls, steps):
+    # Counted as the benchmark's tracer counts them: a step is a PrimeField.inv
+    # call made inside weak_normal_form, whatever kind of reducer it uses.
+    counts = {"calls": 0, "steps": 0}
+    inside = [False]
+
+    def count_wnf(original):
+        def counted(*args, **kwargs):
+            counts["calls"] += 1
+            inside[0] = True
+            try:
+                return original(*args, **kwargs)
+            finally:
+                inside[0] = False
+
+        return counted
+
+    inv = gfp.PrimeField.inv
+
+    def count_inv(self, a):
+        counts["steps"] += inside[0]
+        return inv(self, a)
+
+    wrap_everywhere(monkeypatch, mora, "weak_normal_form", count_wnf)
+    monkeypatch.setattr(gfp.PrimeField, "inv", count_inv)
+    assert verify_closed_form(G).ok
+    assert counts == {"calls": calls, "steps": steps}

@@ -6,6 +6,10 @@ the implementation that rebuilt a sorted Polynomial after every step; they
 pin the divisor selection (first match for divide, minimal ecart with
 earliest insertion for Mora) and the recording rule, so a faster reduction
 core must reproduce them exactly. The digest is over the full trace text.
+The local rows from seed 90 on were printed by the weak normal form that
+updated h and the cofactors through add_multiple and add_product on every
+step; each has a one-term divisor and recorded intermediates, so they pin
+the one-term reducer path against the general one.
 
 Each GOLDEN_CERTIFICATE row pins the certificate of a local GOLDEN row: the
 digest of print_poly(unit) and the digest of print_poly(a_i) for each
@@ -52,6 +56,12 @@ GOLDEN = [
     ('local', 40, '2X3X4^4+5X2X3^2X4^3', 2, 3, '1d56695811bd8911'),
     ('local', 44, '4X1^7X4^2+2X1^4X3^3X4^2+5X1^3X2X3^4X4+2X1X2X3^6X4+4X1X3^6X4^2+X1^6X3^2X4^2+3X1^2X2X3^6X4', 5, 14, 'fb85cc7b31f58003'),
     ('local', 46, '0', 1, 3, '04b69ee8c023adec'),
+    # a one-term divisor among recorded intermediates; 90 and 374 record single terms
+    ('local', 90, '2X2^2X3^10', 2, 7, '50b1bb687d40bd98'),
+    ('local', 245, 'X1^4X3^2+X1^2X2X3^3+2X1^2X3^4+2X1X2^3X3^2+X1X2X3^4+2X1^4X3^3+X1^3X3^4+X1^2X2^3X3^2+X1^2X3^5+X1X2^3X3^3+2X1X3^6+2X2^3X3^4+X1^2X3^6+X1X2^3X3^4+X1X3^7+X2^3X3^5', 2, 6, 'bf77121359406d36'),
+    ('local', 270, '0', 5, 25, '5b506c9a193e0c24'),
+    ('local', 361, '0', 5, 21, 'e18aff1e9b79b2ff'),
+    ('local', 374, '0', 1, 7, 'b9d1ac7b2c0a1d01'),
     ('global', 1001, 'X1^2+X1X2^2+2X1X2+2X1+2X2^2+2X2', 0, 3, '1383568da92a19fe'),
     ('global', 1003, '3X1^4X2+X1X2^4+2X1^3X2+2X1X2^3+4X1X2^2+2X1X2', 0, 3, '8f8760c2c91b144e'),
     ('global', 1006, '0', 0, 7, '13539837330c3ea7'),
@@ -76,6 +86,11 @@ GOLDEN_CERTIFICATE = [
     (40, 'a409af1528e17462', ('5feceb66ffc86f38', '555fedf5c5074ae1')),
     (44, '1f5141a8c05a637e', ('51b69fe7585deb03', '5feceb66ffc86f38', '039006b205962c7b')),
     (46, '0b937ed25b2d07e3', ('ec29ba1c3f473c2b',)),
+    (90, 'f869cff27e44483f', ('5feceb66ffc86f38', '98028e553e5d128d', '0ef7d446dac94b44')),
+    (245, '94774a711e2cafd5', ('27f17eb2bb384198', '5feceb66ffc86f38')),
+    (270, '08795e435e34ad83', ('ae3ae3c7d17239bd', '07c5a0210430e6f7', 'f9f73dc29e0b7df1')),
+    (361, '02d95d4fd59b5fbd', ('482d1eeddfbdba9b', 'b965dcf434cd3dae', 'b5c23ec39718cb48')),
+    (374, '6b86b273ff34fce1', ('e21a5eb4cc935a39', '9a56bbc656237203')),
 ]
 
 

@@ -198,6 +198,27 @@ def test_certificate_check_rejects_each_corrupted_part():
         mora._check_certificate(f, divisors, corrupted["lt(u)"])
 
 
+def test_certificate_check_rejects_corrupted_cofactors_of_a_one_term_run():
+    # every step reduces by a one-term divisor; the last two divisors never
+    # reduce, so their cofactors are zero
+    ring = Ring(5, 2, Order.NEGDEGLEX)
+    f = parse_poly("X1+2X2^2+3X1X2", ring)
+    divisors = [parse_poly(text, ring) for text in ("2X1", "X2^2", "X2^3", "X1^2X2")]
+    lines = []
+    result = weak_normal_form(f, divisors, trace=lines.append)
+    assert [line.rsplit(" ", 1)[1] for line in lines] == ["2X1", "2X1", "X2^2"]
+    assert not result.normal_form and result.unit == ring.one()
+    assert [bool(a) for a in result.coefficients] == [True, True, False, False]
+    mora._check_certificate(f, divisors, result)  # the intact certificate passes
+
+    bump = ring.term(1, (2, 3))
+    for i in range(len(divisors)):  # a nonzero cofactor corrupted, a zero one made nonzero
+        coefficients = list(result.coefficients)
+        coefficients[i] = coefficients[i] + bump
+        with pytest.raises(CertificateError, match="identity"):
+            mora._check_certificate(f, divisors, replace(result, coefficients=tuple(coefficients)))
+
+
 def test_certificates_random():
     rng = random.Random(2718)
     max_recorded = 0

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codegb import monomials
+from codegb import monomials, parsing
 from codegb.codes import closed_form_basis, parse_matrix
 from codegb.monomials import Order
 from codegb.parsing import ParseError, parse_poly, print_poly
@@ -298,3 +298,22 @@ def test_large_print_decodes_each_group_text_once(monkeypatch):
     assert calls == 123  # one decode per distinct group text, not one per term
     monkeypatch.undo()
     assert text == ref_print_poly(f)
+
+
+def test_small_print_builds_text_only_for_the_variables_that_occur(monkeypatch):
+    built = []
+
+    class Counted(parsing._Powers):
+        def __init__(self, name):
+            built.append(name)
+            super().__init__(name)
+
+    monkeypatch.setattr(parsing, "_Powers", Counted)
+    # the ring's largest variable count: one variable occurs, so one text table is built
+    assert print_poly(parse_poly("2X2", Ring(3, 65536, Order.NEGDEGLEX))) == "2X2"
+    assert built == ["X2"]
+    built.clear()
+    ring = Ring(5, 9, Order.DEGREVLEX)
+    f = parse_poly("X9^3X1+4X4^2+X1^2X4+3", ring)
+    assert print_poly(f) == ref_print_poly(f)
+    assert built == ["X1", "X4", "X9"]

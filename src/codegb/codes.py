@@ -178,17 +178,17 @@ def closed_form_basis(G: GeneratorMatrix) -> list[Polynomial]:
     share a monomial, so the word -> coefficient dict needs no merging.
     """
     ring = Ring(G.p, G.n, Order.NEGDEGLEX)
-    p, binom, encode = G.p, ring.field.binom, ring.encode
+    p, binom, x_word = G.p, ring.field.binom, ring.variable_word
     out = []
     for i in range(1, G.k + 1):
         mi = mi_vector(G, i)
         terms = [(1, monomials.ONE)]
         for j in mi.support:
-            cap, x = mi.values[j - 1], encode(variable(j, G.n))
+            cap, x = mi.values[j - 1], x_word(j)
             powers = [(binom(cap, t), t * x) for t in range(cap + 1)]
             terms = [(c * b % p, m + xt) for c, m in terms for b, xt in powers]
         acc = {m: p - c for c, m in terms[1:]}  # terms[0] is the constant 1
-        acc[encode(variable(i, G.n))] = 1
+        acc[x_word(i)] = 1
         out.append(ring._from_dict(acc))
     for i in range(G.k + 1, G.n + 1):
         power = tuple(G.p if j == i - 1 else 0 for j in range(G.n))
@@ -240,9 +240,9 @@ def verify_closed_form(G: GeneratorMatrix, *, drop_index: int | None = None) -> 
         detail = check.detail
 
     ring = translated[0].ring  # n >= 1 elements, even when closed is empty
-    encode = ring.encode
-    expected = {encode(variable(i, G.n)) for i in range(1, G.k + 1)}
-    expected |= {G.p * encode(variable(i, G.n)) for i in range(G.k + 1, G.n + 1)}
+    x_word = ring.variable_word
+    expected = {x_word(i) for i in range(1, G.k + 1)}
+    expected |= {G.p * x_word(i) for i in range(G.k + 1, G.n + 1)}
     actual = {f.leading_monomial for f in closed}
     leading_ok = actual == expected
     if not leading_ok and not detail:

@@ -75,7 +75,8 @@ def divide(
                     trace(f"reduce {Polynomial(ring, ((lc, lm),))!s} by divisor {idx}: {g!s}")
                 break
         else:
-            remainder_terms.append(h.pop_leading())
+            remainder_terms.append((lc, lm))
+            h.drop_leading(lm)
             if trace:
                 trace(f"move {Polynomial(ring, ((lc, lm),))!s} to the remainder")
 

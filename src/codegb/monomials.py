@@ -116,6 +116,13 @@ class Encoding:
         """The exponent tuple of a word."""
         return self._struct.unpack((word & self.fields).to_bytes(self.shift // 8, self._byteorder))
 
+    def variable_word(self, i: int) -> int:
+        """The word of X_i, with i in [1, n]: a 1 in X_i's field, plus the degree 1."""
+        if not 1 <= i <= self.n:
+            raise ValueError(f"variable index {i} out of range [1, {self.n}]")
+        field = self.n - i if self.descending else i - 1  # counted from the bottom
+        return (1 << field * self.width) + self.degree_unit
+
 
 def check(product: int, guards: int) -> None:
     """Raise ValueError if an exponent of a product overflowed into its guard bit.
@@ -164,11 +171,6 @@ def coprime(a: int, b: int, encoding: Encoding) -> bool:
     guards = encoding.guards
     low = guards - (guards >> (encoding.width - 1))
     return not (a + low) & (b + low) & guards
-
-
-def one(n: int) -> tuple[int, ...]:
-    """The exponents of the constant monomial in n variables."""
-    return (0,) * n
 
 
 def variable(i: int, n: int) -> tuple[int, ...]:

@@ -23,7 +23,8 @@ a_i = c_i exact for any reducer g.
 
 While the loop runs, h lives in a poly.TermAccumulator. A step costs the
 work it does: a one-term g (a pure power X_j^p of a closed form, a monomial
-divisor) cancels exactly h's leading term, which is popped; a longer g
+divisor) cancels exactly h's leading term, which is dropped from h by the
+word the step has already read; a longer g
 costs O(|g| log |h|) through add_multiple. A certificate c*1 at one
 position (every original divisor's) is one dict update at q's monomial;
 any other goes through poly.add_product. Either way the step makes one
@@ -178,7 +179,7 @@ def weak_normal_form(
             else:
                 a.pop(qm, None)
         if g.single:  # q*g is exactly h's leading term
-            h.pop_leading()
+            h.drop_leading(lm)
         else:
             h.add_multiple(-qc, qm, g.poly)
 

@@ -13,9 +13,27 @@ Ring.poly is the normalizing constructor for raw, unsorted terms (a dict
 merge plus one sort of the words). Sums and differences of Polynomials skip
 it: both operands are already sorted, so one linear merge of the two term
 sequences is enough. Reduction loops do not build a Polynomial per step at
-all; they keep the polynomial being reduced in a TermAccumulator. Products
-sum their term products into one word -> coefficient dict (add_product), and
-an int multiple c*f is f.mul_term(c, ONE).
+all; they keep the polynomial being reduced in a TermAccumulator.
+
+A product f*g takes one of three paths, each paying only for what can
+happen in it:
+
+- disjoint: when f and g share no variable (monomials.coprime on the OR of
+  each operand's words, O(|f| + |g|)), every field of a product word comes
+  from one factor, so no exponent overflows and no two products share a
+  word. The product is one list of |f||g| terms and one sort of its
+  min(|f|, |g|) sorted runs, with no dict and no guard test;
+- scalar: an int multiple c*f (negation and monic too) is one pass that
+  scales the coefficients and keeps the words, O(|f|). It is not
+  mul_term(c, ONE): a test for the word 1 there slowed every shifted
+  multiple, such as an S-polynomial's two;
+- accumulated: every other product sums its term products into one
+  word -> coefficient dict (add_product, the shorter operand in the outer
+  loop), testing each for a collision and a cancellation, guard-tests the
+  OR of all product words once and sorts the surviving words: |f||g| dict
+  updates and one sort of the result.
+
+Ring.one, constant and variable build their one term directly.
 
 Elements of the localized ring attached to a local order are never
 materialized as fractions here; units show up only as polynomial
@@ -25,6 +43,7 @@ certificates u with leading term 1 (see the mora module).
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from . import monomials
@@ -95,11 +114,12 @@ class Ring(monomials.Encoding):
         return self.constant(1)
 
     def constant(self, c: int) -> Polynomial:
-        return self.poly([(c, monomials.one(self.n))])
+        c %= self.p
+        return Polynomial(self, ((c, monomials.ONE),) if c else ())
 
     def variable(self, i: int) -> Polynomial:
         """The polynomial X_i, with i in [1, n]."""
-        return self.poly([(1, monomials.variable(i, self.n))])
+        return Polynomial(self, ((1, self.variable_word(i)),))
 
     def term(self, coeff: int, mono: Sequence[int]) -> Polynomial:
         return self.poly([(coeff, mono)])
@@ -215,16 +235,30 @@ class Polynomial:
         return self * -1
 
     def __mul__(self, other):
+        ring = self.ring
         if isinstance(other, int):
-            return self.mul_term(other, monomials.ONE)
+            # every word and its place stay; only the coefficients scale
+            p = ring.p
+            c = other % p
+            return Polynomial(ring, tuple([(tc * c % p, tm) for tc, tm in self.terms]) if c else ())
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_ring(other)
-        if not self.terms or not other.terms:
-            return self.ring.zero()
+        a, b = self.terms, other.terms
+        if not a or not b:
+            return ring.zero()
+        if len(a) > len(b):
+            a, b = b, a
+        if monomials.coprime(_support(a), _support(b), ring):
+            # each field of a product word comes from one factor, so no word
+            # overflows and no two coincide; one sorted run per term of a
+            p = ring.p
+            terms = [(c1 * c2 % p, m1 + m2) for c1, m1 in a for c2, m2 in b]
+            terms.sort(key=itemgetter(1), reverse=ring.descending)
+            return Polynomial(ring, tuple(terms))
         acc: dict[int, int] = {}
-        add_product(acc, 1, self.terms, other.terms, self.ring)
-        return self.ring._from_dict(acc)
+        add_product(acc, 1, a, b, ring)
+        return ring._from_dict(acc)
 
     __rmul__ = __mul__
 
@@ -294,14 +328,25 @@ class Polynomial:
         return f"Polynomial({self!s})"
 
 
+def _support(terms: Iterable[Term]) -> int:
+    """The OR of the words: a field is nonzero iff its variable occurs in a term."""
+    support = 0
+    for _, m in terms:
+        support |= m
+    return support
+
+
 def add_product(
-    acc: dict[int, int], c: int, a: Iterable[Term], b: Sequence[Term], ring: Ring
+    acc: dict[int, int], c: int, a: Sequence[Term], b: Sequence[Term], ring: Ring
 ) -> None:
     """Add c*a*b into a word -> coefficient dict, mod p; cancelled terms leave it.
 
     a and b are sequences of (coefficient, word) pairs, each with distinct
     words: a Polynomial's terms, a single term ((c, q),), a Mora cofactor.
+    The shorter one runs in the outer loop.
     """
+    if len(a) > len(b):
+        a, b = b, a
     p = ring.p
     seen = 0  # the OR of all products, for one guard test
     for c1, m1 in a:
@@ -377,12 +422,13 @@ class TermAccumulator:
             heappop(heap)
         raise ValueError("the zero polynomial has no leading term")
 
-    def pop_leading(self) -> Term:
-        """Remove and return the leading term."""
-        c, m = self.leading_term()
+    def drop_leading(self, m: int) -> None:
+        """Remove the leading term, whose word m leading_term() has just returned.
+
+        leading_term() leaves m's heap key on top of the heap, so this is one pop.
+        """
         heappop(self.heap)
         del self.coeffs[m]
-        return c, m
 
     def to_poly(self) -> Polynomial:
         return self.ring._from_dict(self.coeffs)

@@ -99,11 +99,23 @@ def digest(f):
 
 
 def local_instance(seed):
+    """A local reduction instance: f and one to three divisors vanishing at the origin.
+
+    For seeds 103, 111, 233 and 329 the weak normal form does not end in
+    practice (over 20 000 steps, each slower than the last as the recorded
+    reducers pile up); test_known_runaway_instances_hit_the_step_cap pins them.
+    """
     rng = random.Random(seed)
     ring = Ring(rng.choice((2, 3, 5, 7)), rng.randint(2, 4), Order.NEGDEGLEX)
     f = random_local_divisor(ring, rng, max_terms=8, max_deg=6)
     divs = [random_local_divisor(ring, rng, max_terms=4, max_deg=4) for _ in range(rng.randint(1, 3))]
     return f, divs
+
+
+@pytest.mark.parametrize("seed", [103, 111, 233, 329])
+def test_known_runaway_instances_hit_the_step_cap(seed):
+    with pytest.raises(ValueError, match="exceeded 500 reduction steps"):
+        weak_normal_form(*local_instance(seed), max_steps=500)
 
 
 def global_instance(seed):

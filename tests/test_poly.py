@@ -5,11 +5,19 @@ import random
 
 import pytest
 
+from codegb import monomials, poly
 from codegb.monomials import Order, divides, lcm
 from codegb.parsing import parse_poly
 from codegb.poly import Polynomial, Ring, ecart, s_polynomial
 
-from helpers import G1, exponent_terms, random_nonzero_poly, random_poly, reduce_step
+from helpers import (
+    G1,
+    count_calls,
+    exponent_terms,
+    random_nonzero_poly,
+    random_poly,
+    reduce_step,
+)
 
 
 @pytest.fixture
@@ -200,6 +208,38 @@ def test_ecart(local6):
 def test_degree_of_zero_undefined(local6):
     with pytest.raises(ValueError):
         local6.zero().degree
+
+
+def test_disjoint_product_makes_no_add_product_call(monkeypatch):
+    ring = Ring(7, 4, Order.NEGDEGLEX)
+    f = (ring.variable(1) + 1) ** 3 * (ring.variable(2) + 1) ** 2
+    g = (ring.variable(3) + 1) ** 4 + ring.variable(4)
+    counts = count_calls(monkeypatch, (poly, "add_product"))
+    product = f * g
+    assert counts == {"add_product": 0}
+    assert len(product.terms) == len(f.terms) * len(g.terms) == 12 * 6
+    assert product == ring.poly(
+        (c1 * c2, tuple(map(sum, zip(e1, e2))))
+        for c1, e1 in exponent_terms(f)
+        for c2, e2 in exponent_terms(g)
+    )
+    # a shared variable keeps the accumulated path
+    assert (f * (g + ring.variable(2))).terms
+    assert counts == {"add_product": 1}
+
+
+@pytest.mark.parametrize("order", list(Order))
+def test_one_term_constructors_match_ring_poly(order):
+    ring = Ring(5, 3, order)
+    one = (0, 0, 0)
+    assert ring.one() == ring.poly([(1, one)])
+    for c in range(-5, 11):
+        assert ring.constant(c) == ring.poly([(c, one)])
+    for i in (1, 2, 3):
+        assert ring.variable(i) == ring.poly([(1, monomials.variable(i, 3))])
+    for i in (0, 4):
+        with pytest.raises(ValueError, match=f"variable index {i} out of range"):
+            ring.variable(i)
 
 
 def test_monic_and_scalars():

@@ -2,9 +2,9 @@
 
 The packed monomial words are checked against the tuple reference in
 helpers, in all four orders and at all three field widths, up to the top of
-the exponent range; merged add/sub and the TermAccumulator against
-Ring.poly, the normalizing constructor, as the reference; division and Mora
-reduction against their contracts.
+the exponent range; merged add/sub, products and the TermAccumulator
+against Ring.poly, the normalizing constructor, as the reference; division
+and Mora reduction against their contracts.
 """
 
 import pytest
@@ -15,7 +15,7 @@ from codegb import monomials
 from codegb.division import divide
 from codegb.monomials import Order, divides
 from codegb.mora import weak_normal_form
-from codegb.poly import Ring, TermAccumulator
+from codegb.poly import Polynomial, Ring, TermAccumulator, add_product
 
 from helpers import (
     compare,
@@ -80,6 +80,8 @@ def test_monomial_ops_are_componentwise(args):
     assert (ka > kb) - (ka < kb) == compare(ring.order, a, b)
     assert ring.heap_key(wa) == -ring.key(wa)
     assert ring.degree(wa) == ref_degree(a)
+    for i in range(1, ring.n + 1):
+        assert ring.variable_word(i) == ring.encode(monomials.variable(i, ring.n))
     assert monomials.lcm(wa, wb, ring) == ring.encode(ref_lcm(a, b))
     assert monomials.coprime(wa, wb, ring) == (not any(x and y for x, y in zip(a, b)))
     assert monomials.divides(wa, wb, guards) == ref_divides(a, b)
@@ -147,9 +149,9 @@ def test_merge_full_cancellation(args):
 @given(ring_and_pair(), st.integers(-20, 20))
 def test_merge_with_int_operands(args, k):
     ring, f, _ = args
-    const = ring.poly([(k, monomials.one(ring.n))])
+    const = ring.poly([(k, (0,) * ring.n)])
     assert f + k == k + f == ring.poly(exponent_terms(f) + exponent_terms(const))
-    assert f - k == ring.poly(exponent_terms(f) + ((-k, monomials.one(ring.n)),))
+    assert f - k == ring.poly(exponent_terms(f) + ((-k, (0,) * ring.n),))
 
 
 @FAST
@@ -162,6 +164,101 @@ def test_mixed_rings_rejected(args):
         f + g
     with pytest.raises(ValueError, match="mixed"):
         f - g
+
+
+def ref_product(ring, f, g):
+    """f*g by Ring.poly over all term pairs, built from exponent tuples."""
+    return ring.poly(
+        (c1 * c2, ref_mul(e1, e2)) for c1, e1 in exponent_terms(f) for c2, e2 in exponent_terms(g)
+    )
+
+
+def operands(draw, ring, variables, exponent):
+    """A longer, one-term, constant or empty polynomial in the given variables."""
+    kind = draw(st.sampled_from(("longer", "one-term", "constant", "empty")))
+    if kind == "empty":
+        return ring.zero()
+    if kind == "constant":
+        return ring.constant(draw(st.integers(1, ring.p - 1)))
+    mono = st.tuples(*[exponent if i in variables else st.just(0) for i in range(ring.n)])
+    size = 1 if kind == "one-term" else draw(st.integers(2, 8))
+    monos = draw(st.lists(mono, min_size=size, max_size=size, unique=True))
+    return ring.poly([(draw(st.integers(1, ring.p - 1)), m) for m in monos])
+
+
+@st.composite
+def product_pairs(draw):
+    """Two operands in disjoint variables, or in variable sets that share one."""
+    ring = draw(rings())
+    f_vars = draw(st.sets(st.integers(0, ring.n - 1), min_size=1))
+    g_vars = draw(st.sets(st.integers(0, ring.n - 1), min_size=1))
+    if draw(st.booleans()):
+        shared = draw(st.integers(0, ring.n - 1))
+        f_vars.add(shared)
+        g_vars.add(shared)
+    else:
+        g_vars -= f_vars
+    exponent = st.integers(0, 2)
+    return ring, operands(draw, ring, f_vars, exponent), operands(draw, ring, g_vars, exponent)
+
+
+@FAST
+@given(product_pairs(), st.integers(-10, 10))
+def test_product_matches_ring_poly_of_all_term_pairs(args, k):
+    ring, f, g = args
+    expected = ref_product(ring, f, g)
+    assert f * g == expected
+    assert g * f == expected
+    assert f * k == k * f == ring.poly((c * k, e) for c, e in exponent_terms(f))
+
+
+@st.composite
+def products_at_the_bound(draw):
+    """A ring of any width; f in X_1..X_s with X_i^bound in a term, g in X_(s+1)..X_n."""
+    width = draw(st.sampled_from(sorted(WIDTH_PRIMES)))
+    ring = Ring(
+        draw(st.sampled_from(WIDTH_PRIMES[width])),
+        draw(st.integers(2, 4)),
+        draw(st.sampled_from(list(Order))),
+    )
+    bound = ring.bound
+    split = draw(st.integers(1, ring.n - 1))
+    exponent = st.one_of(st.just(bound), st.integers(bound - 3, bound), st.integers(0, 3))
+    f = operands(draw, ring, set(range(split)), exponent)
+    g = operands(draw, ring, set(range(split, ring.n)), exponent)
+    i = draw(st.integers(1, split))
+    top = [0] * ring.n
+    top[i - 1] = bound
+    if ring.encode(top) not in {m for _, m in f.terms}:
+        f = f + ring.term(1, top)
+    return ring, f, g, i
+
+
+@FAST
+@given(products_at_the_bound())
+def test_products_at_the_exponent_bound(args):
+    ring, f, g, i = args
+    # disjoint: every field of a product comes from one factor, so none exceeds the bound
+    assert f * g == g * f == ref_product(ring, f, g)
+    # overlapping: X_i^bound * X_i is past the bound
+    with pytest.raises(ValueError, match="exponent overflow"):
+        f * (g + ring.variable(i))
+    with pytest.raises(ValueError, match="exponent overflow"):
+        (g + ring.variable(i)) * f
+
+
+@FAST
+@given(ring_and_pair(), st.integers(-3, 3))
+def test_add_product_does_not_depend_on_operand_order(args, c):
+    ring, f, g = args
+    start = {m: fc for fc, m in f.terms}
+    for a, b in ((f.terms, g.terms), (f.terms[:1], g.terms), (f.terms, g.terms[:1]), ((), g.terms)):
+        forward, backward = dict(start), dict(start)
+        add_product(forward, c, a, b, ring)
+        add_product(backward, c, b, a, ring)
+        assert forward == backward
+        product = ref_product(ring, Polynomial(ring, a), Polynomial(ring, b))
+        assert ring._from_dict(forward) == f + product * c
 
 
 @st.composite
@@ -214,7 +311,8 @@ def test_accumulator_matches_polynomial_arithmetic(args):
             assert acc.leading_term() == expected.leading_term
     popped = []
     while acc:
-        popped.append(acc.pop_leading())
+        popped.append(acc.leading_term())
+        acc.drop_leading(popped[-1][1])
     assert tuple(popped) == expected.terms
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 
 from . import monomials
 from .gfp import is_prime
@@ -150,10 +151,10 @@ def translated_generators(G: GeneratorMatrix) -> list[Polynomial]:
     out = []
     for i in range(1, G.k + 1):
         mi = mi_vector(G, i)
-        prod_part = ring.one()
+        prod_part = ring.constant(G.p - 1)
         for j in mi.support:
             prod_part = prod_part * (ring.variable(j) + 1) ** mi.values[j - 1]
-        out.append(ring.variable(i) + 1 + (G.p - 1) * prod_part)
+        out.append(ring.variable(i) + 1 + prod_part)
     for i in range(G.k + 1, G.n + 1):
         out.append((ring.variable(i) + 1) ** G.p + (G.p - 1))
     return out
@@ -173,23 +174,26 @@ def closed_form_basis(G: GeneratorMatrix) -> list[Polynomial]:
     elements are bound to the negative degree lexicographic order.
 
     The terms are built as words directly: the word of a product of powers
-    is the sum of t_h times the word of X_(j_h), one factor at a time. No
-    coefficient is 0 mod p, since every cap is below p, and no two terms
-    share a monomial, so the word -> coefficient dict needs no merging.
+    is the sum of t_h times the word of X_(j_h), one factor at a time, and
+    the expansion starts from -1, so the minus sign is already in every
+    coefficient. No coefficient is 0 mod p, since every cap is below p, and
+    no two terms share a monomial, so the terms need no merging: X_i takes
+    the place of the constant term, the first one built, and one sort by
+    word puts them in order.
     """
     ring = Ring(G.p, G.n, Order.NEGDEGLEX)
     p, binom, x_word = G.p, ring.field.binom, ring.variable_word
     out = []
     for i in range(1, G.k + 1):
         mi = mi_vector(G, i)
-        terms = [(1, monomials.ONE)]
+        terms = [(p - 1, monomials.ONE)]
         for j in mi.support:
             cap, x = mi.values[j - 1], x_word(j)
             powers = [(binom(cap, t), t * x) for t in range(cap + 1)]
             terms = [(c * b % p, m + xt) for c, m in terms for b, xt in powers]
-        acc = {m: p - c for c, m in terms[1:]}  # terms[0] is the constant 1
-        acc[x_word(i)] = 1
-        out.append(ring._from_dict(acc))
+        terms[0] = (1, x_word(i))
+        terms.sort(key=itemgetter(1), reverse=ring.descending)
+        out.append(Polynomial(ring, tuple(terms)))
     for i in range(G.k + 1, G.n + 1):
         power = tuple(G.p if j == i - 1 else 0 for j in range(G.n))
         out.append(ring.term(1, power))

@@ -7,7 +7,6 @@ contexts are caught where two contexts meet (see poly.Ring).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 
@@ -53,7 +52,31 @@ class PrimeField:
         return pow(a, self.p - 2, self.p)
 
     def binom(self, m: int, t: int) -> int:
-        """Binomial coefficient C(m, t) reduced mod p; 0 when t > m."""
+        """Binomial coefficient C(m, t) reduced mod p; 0 when t > m.
+
+        Lucas' theorem: C(m, t) is the product of C(m_i, t_i) over the base-p
+        digits of m and t, so m < p takes one digit. Each digit's factor is
+        the multiplicative formula C(top, s) with s factors above and below,
+        all mod p, and one inverse (no factor below is 0 mod p). s is the
+        least of t_i, m_i - t_i and p - 1 - m_i: for t_i < p, C(x, t_i) mod p
+        depends on x mod p only, so C(m_i, t_i) = C(-g, t_i) =
+        (-1)^t_i C(t_i + g - 1, g - 1) for g = p - m_i.
+        """
         if m < 0 or t < 0:
             raise ValueError("binomial coefficient arguments must be non-negative")
-        return math.comb(m, t) % self.p
+        p = self.p
+        result = 1
+        while t:
+            (m, mi), (t, ti) = divmod(m, p), divmod(t, p)
+            if ti > mi:
+                return 0
+            s, top, sign = min(ti, mi - ti), mi, 1
+            if p - 1 - mi < s:
+                s = p - 1 - mi
+                top, sign = ti + s, -1 if ti & 1 else 1
+            above = below = 1
+            for i in range(1, s + 1):
+                above = above * (top - s + i) % p
+                below = below * i % p
+            result = result * sign * above * pow(below, -1, p) % p
+        return result

@@ -35,8 +35,10 @@ has the largest degree. Certificate entries are never read in leading-term
 order: h's are word -> coefficient dicts, sorted into Polynomials once, at
 the end (the divisors that never reduced share one zero); a recorded
 reducer freezes them into tuples of (coefficient, word) pairs. The check
-recomputes u*f - sum(a_i f_i) from the returned Polynomials alone, summing
-the term products of the nonzero cofactors into one dict.
+recomputes both sides from the returned Polynomials alone: u*f, which is f
+itself when u = 1, against h merged with the sorted product a_i*f_i of
+every nonzero cofactor. A product with a one-term factor, such as a c*1
+cofactor or a pure power X_j^p, is one mul_term pass (see poly).
 """
 
 from __future__ import annotations
@@ -81,23 +83,20 @@ class _Reducer:
     only the nonzero positions: {i+1: ((-1, ONE),)} for the original divisor
     f_i, a snapshot of h's own vector for a recorded intermediate. The leading
     term and the ecart are cached because every step scans every reducer.
-    single tells whether g is one term; entry is (j, c) for a certificate
-    c*1 at position j alone (every original divisor's), else None.
+    single tells whether g is one term. entry is (j, c) for an original
+    divisor, whose certificate is c*1 at position j alone, and None for a
+    recorded intermediate, whose certificate updates go through add_product.
     """
 
     __slots__ = ("poly", "lc", "lm", "cert", "ecart", "single", "entry")
 
-    def __init__(self, poly, cert):
+    def __init__(self, poly, cert, entry=None):
         self.poly = poly
-        self.lc, self.lm = poly.leading_term
+        self.lc, self.lm = poly.terms[0]
         self.cert = cert
         self.ecart = ecart(poly)
         self.single = len(poly.terms) == 1
-        self.entry = None
-        if len(cert) == 1:
-            ((j, t),) = cert.items()
-            if len(t) == 1 and t[0][1] == monomials.ONE:
-                self.entry = (j, t[0][0])
+        self.entry = entry
 
 
 def weak_normal_form(
@@ -133,7 +132,9 @@ def weak_normal_form(
     # h = cert[0]*f - sum(cert[i+1]*f_i), so cert[0] is u and cert[i+1] is a_i
     cert: list[dict] = [{one: 1}] + [{} for _ in divisors]
     h = TermAccumulator(ring, f.terms)
-    reducers = [_Reducer(g, {i + 1: ((p - 1, one),)}) for i, g in enumerate(divisors)]
+    reducers = [
+        _Reducer(g, {i + 1: ((p - 1, one),)}, (i + 1, p - 1)) for i, g in enumerate(divisors)
+    ]
     recorded = 0
     steps = 0
 
@@ -199,17 +200,17 @@ def _check_certificate(
 ) -> None:
     """Raise CertificateError unless u*f = sum(a_i f_i) + h and lt(u) = 1 hold exactly.
 
-    Recomputes u*f - sum(a_i f_i) from the returned Polynomials alone: every
-    term product is summed into one monomial -> coefficient dict, which,
-    sorted, must be h term for term.
+    Recomputes both sides from the returned Polynomials alone, as sorted
+    Polynomial products: u*f (f itself when u = 1) must equal h merged with
+    every nonzero a_i*f_i, term for term.
     """
-    ring = f.ring
-    acc: dict[int, int] = {}
-    add_product(acc, 1, result.unit.terms, f.terms, ring)
+    unit = result.unit
+    lhs = f if unit.terms == ((1, monomials.ONE),) else unit * f
+    rhs = result.normal_form
     for a, g in zip(result.coefficients, divisors):
         if a:
-            add_product(acc, -1, a.terms, g.terms, ring)
-    if ring._from_dict(acc) != result.normal_form:
+            rhs = rhs._merge(a * g)
+    if lhs != rhs:
         raise CertificateError("certificate identity u*f = sum(a_i f_i) + h violated")
     if not result.unit or result.unit.leading_term != (1, monomials.ONE):
         raise CertificateError("unit lost its leading term 1")

@@ -15,9 +15,12 @@ it: both operands are already sorted, so one linear merge of the two term
 sequences is enough. Reduction loops do not build a Polynomial per step at
 all; they keep the polynomial being reduced in a TermAccumulator.
 
-A product f*g takes one of three paths, each paying only for what can
+A product f*g takes one of four paths, each paying only for what can
 happen in it:
 
+- one-term: when the shorter operand is one term c*X^m, the product is
+  mul_term(c, m) of the other, which keeps its sorted layout: one pass and
+  one guard test, with no dict and no sort;
 - disjoint: when f and g share no variable (monomials.coprime on the OR of
   each operand's words, O(|f| + |g|)), every field of a product word comes
   from one factor, so no exponent overflows and no two products share a
@@ -248,7 +251,9 @@ class Polynomial:
         if not a or not b:
             return ring.zero()
         if len(a) > len(b):
-            a, b = b, a
+            a, b, other = b, a, self
+        if len(a) == 1:  # other holds b
+            return other.mul_term(*a[0])
         if monomials.coprime(_support(a), _support(b), ring):
             # each field of a product word comes from one factor, so no word
             # overflows and no two coincide; one sorted run per term of a

@@ -4,6 +4,8 @@ import math
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codegb.gfp import PrimeField, is_prime
 
@@ -78,6 +80,17 @@ def test_binom_row_sum(p):
     for m in range(p + 1):
         row_sum = sum(field.binom(m, t) for t in range(m + 1)) % p
         assert row_sum == pow(2, m, p)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.sampled_from((2, 3, 5, 7, 13, 101, 4001, 2**61 - 1)),
+    st.integers(0, 3000),
+    st.integers(0, 3100),
+)
+def test_binom_matches_math_comb_across_base_p_digits(p, m, t):
+    # m >= p takes Lucas' theorem over several base-p digits, t > m gives 0
+    assert PrimeField(p).binom(m, t) == math.comb(m, t) % p
 
 
 def test_binom_negative_arguments_rejected():

@@ -219,6 +219,33 @@ def test_certificate_check_rejects_corrupted_cofactors_of_a_one_term_run():
             mora._check_certificate(f, divisors, replace(result, coefficients=tuple(coefficients)))
 
 
+def test_certificate_check_rejects_each_corrupted_part_of_a_unit_one_run():
+    # u = 1, so the check compares f itself; a_1*f_1 is a general product
+    # (both factors contain X1) and a_2*f_2 is a one-term one (a_2 = 2)
+    ring = Ring(5, 2, Order.NEGDEGLEX)
+    f = parse_poly("2X1+2X1^2+4X1X2", ring)
+    divisors = [parse_poly("X1+3X1^2", ring), parse_poly("2X1X2+X2^2", ring)]
+    result = weak_normal_form(f, divisors)
+    assert result.unit == ring.one() and result.normal_form
+    assert [str(a) for a in result.coefficients] == ["2+X1", "2"]
+    mora._check_certificate(f, divisors, result)  # the intact certificate passes
+
+    bump = ring.term(1, (2, 3))
+    corrupted = [
+        replace(result, unit=result.unit + bump),
+        replace(result, unit=result.unit * 2),
+        replace(result, normal_form=result.normal_form + bump),
+    ]
+    for i in range(len(divisors)):  # a cofactor given an extra term, and one scaled
+        for change in (lambda a: a + bump, lambda a: a * 2):
+            coefficients = list(result.coefficients)
+            coefficients[i] = change(coefficients[i])
+            corrupted.append(replace(result, coefficients=tuple(coefficients)))
+    for bad in corrupted:
+        with pytest.raises(CertificateError, match="identity"):
+            mora._check_certificate(f, divisors, bad)
+
+
 def test_certificates_random():
     rng = random.Random(2718)
     max_recorded = 0

@@ -245,6 +245,14 @@ def test_products_at_the_exponent_bound(args):
         f * (g + ring.variable(i))
     with pytest.raises(ValueError, match="exponent overflow"):
         (g + ring.variable(i)) * f
+    # one-term operands, on either side, go through mul_term
+    x = ring.variable(i)
+    with pytest.raises(ValueError, match="exponent overflow"):
+        f * x
+    with pytest.raises(ValueError, match="exponent overflow"):
+        x * f
+    for t in [ring.variable(ring.n)] + [Polynomial(ring, (term,)) for term in g.terms]:
+        assert f * t == t * f == ref_product(ring, f, t)
 
 
 @FAST

@@ -22,6 +22,8 @@ def product_criterion(f: Polynomial, g: Polynomial) -> bool:
     """True when lcm(lm f, lm g) = lm(f)*lm(g); such pairs need no reduction."""
     if not f.terms or not g.terms:
         raise ValueError("product criterion needs nonzero polynomials")
+    if g.ring is not f.ring:  # equal but distinct rings pass
+        f._check_ring(g)
     return monomials.coprime(f.terms[0][1], g.terms[0][1], f.ring)
 
 
@@ -104,6 +106,9 @@ def minimalize(basis: Sequence[Polynomial]) -> list[Polynomial]:
     if not candidates:
         return []
     ring = candidates[0].ring
+    for g in candidates:
+        if g.ring is not ring:
+            candidates[0]._check_ring(g)
     candidates.sort(key=lambda g: (ring.degree(g.leading_monomial), ring.key(g.leading_monomial)))
     for g in candidates:
         lm = g.leading_monomial

@@ -16,29 +16,35 @@ weak_normal_form verifies the identity exactly before returning; a failure
 raises CertificateError, also under python -O.
 
 Every reducer, h included, is a combination c_0*f - sum(c_i f_i), and its
-certificate is that vector (c_0, c_1, ..., c_s): an original divisor f_i is
-0*f - (-1)*f_i, and h starts as 1*f. A step h -= q*g applies the same update
-c_j -= q*g.c_j to every position g carries, so one rule keeps u = c_0 and
-a_i = c_i exact for any reducer g.
+certificate is that vector (c_0, c_1, ..., c_s): h starts as 1*f, and a
+recorded intermediate carries a snapshot of h's. A step h -= q*g applies
+c_j -= q*g.c_j to every position g carries, so u = c_0 and a_i = c_i stay
+exact. An original divisor f_j is 0*f - (-1)*f_j, so a step by it adds the
+one term q to a_j, and its word is never yet a key of a_j: the step stores
+it with no lookup. Every word w in a_j came from an earlier step s, whose
+h had leading monomial lm_s, with X^w*lm(f_j) >= lm_s: equality for a step
+by f_j, and for a recorded g, w = q_s + w' for a word w' of g's a_j, where
+by induction X^w'*lm(f_j) >= lm(g), so X^w*lm(f_j) >= X^q_s*lm(g) = lm_s.
+Since lm(h) strictly falls, lm_s > lm(h) = X^q*lm(f_j), so w differs from
+q. A recorded g's words can collide, so its updates go through
+poly.add_product.
 
 While the loop runs, h lives in a poly.TermAccumulator. A step costs the
 work it does: a one-term g (a pure power X_j^p of a closed form, a monomial
 divisor) cancels exactly h's leading term, which is dropped from h by the
-word the step has already read; a longer g
-costs O(|g| log |h|) through add_multiple. A certificate c*1 at one
-position (every original divisor's) is one dict update at q's monomial;
-any other goes through poly.add_product. Either way the step makes one
-field inverse and the scan one divides per candidate. Monomials are the
-ring's packed words (see monomials). A reducer computes its own ecart from
-its first and last terms, h's from its smallest word, which under negdeglex
-has the largest degree. Certificate entries are never read in leading-term
-order: h's are word -> coefficient dicts, sorted into Polynomials once, at
-the end (the divisors that never reduced share one zero); a recorded
-reducer freezes them into tuples of (coefficient, word) pairs. The check
-recomputes both sides from the returned Polynomials alone: u*f, which is f
-itself when u = 1, against h merged with the sorted product a_i*f_i of
-every nonzero cofactor. A product with a one-term factor, such as a c*1
-cofactor or a pure power X_j^p, is one mul_term pass (see poly).
+word the step has already read; a longer g costs O(|g| log |h|) through
+add_multiple. Either way the step makes one field inverse and the scan one
+divides per candidate. Monomials are the ring's packed words (see
+monomials). A reducer computes its own ecart from its first and last
+terms, h's from its smallest word, which under negdeglex has the largest
+degree. Certificate entries are never read in leading-term order: h's are
+word -> coefficient dicts, sorted into Polynomials once, at the end (the
+divisors that never reduced share one zero); a recorded reducer freezes
+them into tuples of (coefficient, word) pairs. The check recomputes both
+sides from the returned Polynomials alone: u*f, which is f itself when
+u = 1, against h merged with the sorted product a_i*f_i of every nonzero
+cofactor. A product with a one-term factor, such as a one-term cofactor or
+a pure power X_j^p, is one mul_term pass (see poly).
 """
 
 from __future__ import annotations
@@ -77,26 +83,25 @@ class BasisCheck:
 
 
 class _Reducer:
-    """A reduction candidate g = cert[0]*f - sum(cert[i+1]*f_i).
+    """A reduction candidate g = cert[0]*f - sum(cert[i]*f_i).
 
-    cert maps a position to a tuple of (coefficient, word) pairs and holds
-    only the nonzero positions: {i+1: ((-1, ONE),)} for the original divisor
-    f_i, a snapshot of h's own vector for a recorded intermediate. The leading
-    term and the ecart are cached because every step scans every reducer.
-    single tells whether g is one term. entry is (j, c) for an original
-    divisor, whose certificate is c*1 at position j alone, and None for a
-    recorded intermediate, whose certificate updates go through add_product.
+    position is i for the original divisor f_i, whose step adds one fresh
+    term to a_i, and None for a recorded intermediate. A recorded one
+    carries cert instead, a snapshot of h's own vector: it maps each nonzero
+    position to a tuple of (coefficient, word) pairs, and its updates go
+    through add_product. The leading term and the ecart are cached because
+    every step scans every reducer. single tells whether g is one term.
     """
 
-    __slots__ = ("poly", "lc", "lm", "cert", "ecart", "single", "entry")
+    __slots__ = ("poly", "lc", "lm", "ecart", "single", "position", "cert")
 
-    def __init__(self, poly, cert, entry=None):
+    def __init__(self, poly, position=None, cert=None):
         self.poly = poly
         self.lc, self.lm = poly.terms[0]
-        self.cert = cert
         self.ecart = ecart(poly)
         self.single = len(poly.terms) == 1
-        self.entry = entry
+        self.position = position
+        self.cert = cert
 
 
 def weak_normal_form(
@@ -132,9 +137,7 @@ def weak_normal_form(
     # h = cert[0]*f - sum(cert[i+1]*f_i), so cert[0] is u and cert[i+1] is a_i
     cert: list[dict] = [{one: 1}] + [{} for _ in divisors]
     h = TermAccumulator(ring, f.terms)
-    reducers = [
-        _Reducer(g, {i + 1: ((p - 1, one),)}, (i + 1, p - 1)) for i, g in enumerate(divisors)
-    ]
+    reducers = [_Reducer(g, i + 1) for i, g in enumerate(divisors)]
     recorded = 0
     steps = 0
 
@@ -158,7 +161,7 @@ def weak_normal_form(
             if g.ecart > h_ecart:
                 snapshot = h.to_poly()
                 snapshot_cert = {j: tuple(zip(c.values(), c)) for j, c in enumerate(cert) if c}
-                reducers.append(_Reducer(snapshot, snapshot_cert))
+                reducers.append(_Reducer(snapshot, cert=snapshot_cert))
                 recorded += 1
                 if trace:
                     trace(f"record intermediate {snapshot!s} (ecart {h_ecart} < {g.ecart})")
@@ -168,17 +171,11 @@ def weak_normal_form(
             trace(f"reduce {Polynomial(ring, ((lc, lm),))!s} by {g.poly!s}")
         # Only a recorded g carries position 0, and then q has monomial < 1
         # (lm strictly dropped since g was recorded), so lt(u) = 1 survives.
-        if g.entry is None:
+        if g.position is None:
             for j, t in g.cert.items():
-                add_product(cert[j], -qc, ((1, qm),), t, ring)
-        else:  # add_product's one term, at qm, which passed quotient's guard test
-            j, c = g.entry
-            a = cert[j]
-            v = (a.get(qm, 0) - qc * c) % p
-            if v:
-                a[qm] = v
-            else:
-                a.pop(qm, None)
+                add_product(cert[j], ((-qc, qm),), t, ring)
+        else:  # a fresh key of a_j, which passed quotient's guard test
+            cert[g.position][qm] = qc
         if g.single:  # q*g is exactly h's leading term
             h.drop_leading(lm)
         else:

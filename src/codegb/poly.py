@@ -15,21 +15,18 @@ it: both operands are already sorted, so one linear merge of the two term
 sequences is enough. Reduction loops do not build a Polynomial per step at
 all; they keep the polynomial being reduced in a TermAccumulator.
 
-A product f*g takes one of four paths, each paying only for what can
+A product f*g takes one of three paths, each paying only for what can
 happen in it:
 
 - one-term: when the shorter operand is one term c*X^m, the product is
   mul_term(c, m) of the other, which keeps its sorted layout: one pass and
-  one guard test, with no dict and no sort;
+  one guard test, with no dict and no sort. An int multiple c*f (negation
+  and monic too) is mul_term(c, ONE);
 - disjoint: when f and g share no variable (monomials.coprime on the OR of
   each operand's words, O(|f| + |g|)), every field of a product word comes
   from one factor, so no exponent overflows and no two products share a
   word. The product is one list of |f||g| terms and one sort of its
   min(|f|, |g|) sorted runs, with no dict and no guard test;
-- scalar: an int multiple c*f (negation and monic too) is one pass that
-  scales the coefficients and keeps the words, O(|f|). It is not
-  mul_term(c, ONE): a test for the word 1 there slowed every shifted
-  multiple, such as an S-polynomial's two;
 - accumulated: every other product sums its term products into one
   word -> coefficient dict (add_product, the shorter operand in the outer
   loop), testing each for a collision and a cancellation, guard-tests the
@@ -240,10 +237,7 @@ class Polynomial:
     def __mul__(self, other):
         ring = self.ring
         if isinstance(other, int):
-            # every word and its place stay; only the coefficients scale
-            p = ring.p
-            c = other % p
-            return Polynomial(ring, tuple([(tc * c % p, tm) for tc, tm in self.terms]) if c else ())
+            return self.mul_term(other, monomials.ONE)
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_ring(other)
@@ -262,7 +256,7 @@ class Polynomial:
             terms.sort(key=itemgetter(1), reverse=ring.descending)
             return Polynomial(ring, tuple(terms))
         acc: dict[int, int] = {}
-        add_product(acc, 1, a, b, ring)
+        add_product(acc, a, b, ring)
         return ring._from_dict(acc)
 
     __rmul__ = __mul__
@@ -341,10 +335,8 @@ def _support(terms: Iterable[Term]) -> int:
     return support
 
 
-def add_product(
-    acc: dict[int, int], c: int, a: Sequence[Term], b: Sequence[Term], ring: Ring
-) -> None:
-    """Add c*a*b into a word -> coefficient dict, mod p; cancelled terms leave it.
+def add_product(acc: dict[int, int], a: Sequence[Term], b: Sequence[Term], ring: Ring) -> None:
+    """Add a*b into a word -> coefficient dict, mod p; cancelled terms leave it.
 
     a and b are sequences of (coefficient, word) pairs, each with distinct
     words: a Polynomial's terms, a single term ((c, q),), a Mora cofactor.
@@ -355,7 +347,6 @@ def add_product(
     p = ring.p
     seen = 0  # the OR of all products, for one guard test
     for c1, m1 in a:
-        c1 *= c
         for c2, m2 in b:
             m = m1 + m2
             seen |= m

@@ -145,6 +145,20 @@ def test_minimalize_under_both_order_kinds():
     assert minimalize([]) == []
 
 
+def test_minimalize_and_product_criterion_refuse_mixed_rings():
+    lex = Ring(3, 2, Order.LEX)
+    other = Ring(5, 2, Order.DEGREVLEX)
+    with pytest.raises(ValueError, match="mixed polynomial contexts"):
+        minimalize([lex.variable(1), parse_poly("X1^2+X2", other)])
+    with pytest.raises(ValueError, match="mixed polynomial contexts"):
+        product_criterion(lex.variable(1), Ring(3, 3, Order.NEGDEGLEX).variable(1))
+    # equal but distinct rings still pass
+    twin = Ring(3, 2, Order.LEX)
+    assert minimalize([lex.variable(1), parse_poly("X1X2", twin)]) == [lex.variable(1)]
+    assert product_criterion(lex.variable(1), twin.variable(2))
+    assert not product_criterion(lex.variable(1), twin.variable(1))
+
+
 def test_degrevlex_code_basis_makes_a_pinned_number_of_calls(monkeypatch):
     # The work counts behind the benchmark's division.divide.steps (inverses
     # taken directly inside divide, one per step), buchberger.pairs and

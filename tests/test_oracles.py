@@ -5,7 +5,9 @@ Groebner basis is checked against sympy's, computed by separate code over
 the same prime field, and the standard bases of a code ideal are checked
 against the size of its quotient, which the code fixes in advance: the
 ideal of an [n, k] code over F_p has p^(n-k) standard monomials, under the
-local order at the translated origin as under a global order.
+local order at the translated origin as under a global order. Mora
+certificates u*f = sum(a_i f_i) + h are re-checked in sympy's F_p
+polynomials, with the local order's comparison written out here.
 """
 
 import random
@@ -15,12 +17,19 @@ import pytest
 import sympy
 
 from codegb.buchberger import groebner, reduce_basis
-from codegb.codes import lex_code_basis, random_matrix, translated_generators
+from codegb.codes import (
+    closed_form_basis,
+    lex_code_basis,
+    parse_matrix,
+    random_matrix,
+    translated_generators,
+)
 from codegb.monomials import Order
-from codegb.mora import standard_basis
-from codegb.poly import Ring
+from codegb.mora import standard_basis, weak_normal_form
+from codegb.poly import Ring, s_polynomial
 
-from helpers import exponent_terms, random_nonzero_poly, ref_divides
+from helpers import EXAMPLE_MATRIX, exponent_terms, random_nonzero_poly, ref_divides
+from test_golden_reduction import GOLDEN_CERTIFICATE, local_instance
 
 SYMPY_ORDER = {Order.LEX: "lex", Order.DEGLEX: "grlex", Order.DEGREVLEX: "grevlex"}
 
@@ -82,3 +91,91 @@ def test_mora_and_degrevlex_bases_have_colength_p_to_the_n_minus_k():
         expected = p ** (n - k)
         assert count_standard_monomials(global_basis, p, n) == expected, G
         assert count_standard_monomials(local_basis, p, n) == expected, G
+
+
+def negdeglex_key(e):
+    """Exponent tuples compare under negdeglex as these keys: lower degree is larger, then lex."""
+    return -sum(e), e
+
+
+def sympy_certificate_failures(f, divisors, unit, coefficients, h):
+    """The conditions of a Mora certificate that fail when sympy recomputes them.
+
+    The conditions are u*f = sum(a_i f_i) + h ("identity"), lt(u) = 1, which
+    under negdeglex is u's constant coefficient being 1 ("unit"), and
+    lm(a_i f_i) <= lm(f) for every i ("leading monomial").
+    """
+    ring = f.ring
+    xs = sympy.symbols(f"X1:{ring.n + 1}")
+
+    def to_sympy(g):
+        return sympy.Poly.from_dict({e: c for c, e in exponent_terms(g)}, *xs, modulus=ring.p)
+
+    F, U, H = to_sympy(f), to_sympy(unit), to_sympy(h)
+    products = [to_sympy(a) * to_sympy(g) for a, g in zip(coefficients, divisors)]
+    lm_f = max(map(negdeglex_key, F.monoms()))
+    failed = set()
+    if not (U * F - sum(products, H)).is_zero:
+        failed.add("identity")
+    if int(U.coeff_monomial(1)) % ring.p != 1:
+        failed.add("unit")
+    if any(P and max(map(negdeglex_key, P.monoms())) > lm_f for P in products):
+        failed.add("leading monomial")
+    return failed
+
+
+def certificate_cases():
+    """(f, divisors) for the 17 GOLDEN_CERTIFICATE instances and for closed-form S-pairs.
+
+    The 20 codes are seeded draws with p in {2, 3, 5, 7}, k <= 3, n <= k + 3
+    and at most 40 closed-form terms in all. Their 86 nonzero S-polynomials
+    are reduced by the closed form; 7 of those weak normal forms, and 14 of
+    the golden ones, record intermediates.
+    """
+    for seed, *_ in GOLDEN_CERTIFICATE:
+        yield local_instance(seed)
+    rng = random.Random("sympy-certificates")
+    codes = []
+    while len(codes) < 20:
+        p, k = rng.choice((2, 3, 5, 7)), rng.randint(1, 3)
+        G = random_matrix(rng, p, k, rng.randint(k + 1, k + 3))
+        S = closed_form_basis(G)
+        if G in codes or sum(len(f.terms) for f in S) > 40:
+            continue
+        codes.append(G)
+        for j in range(len(S)):
+            for i in range(j):
+                s = s_polynomial(S[i], S[j])
+                if s:
+                    yield s, S
+
+
+def test_mora_certificates_pass_a_sympy_recheck():
+    checked = recorded = 0
+    for f, divisors in certificate_cases():
+        w = weak_normal_form(f, divisors)
+        assert not sympy_certificate_failures(
+            f, divisors, w.unit, w.coefficients, w.normal_form
+        ), (str(f), [str(g) for g in divisors])
+        checked += 1
+        recorded += w.recorded > 0
+    assert (checked, recorded) == (17 + 86, 14 + 7)
+
+
+def test_sympy_recheck_rejects_corrupted_certificates():
+    S = closed_form_basis(parse_matrix(EXAMPLE_MATRIX))
+    s = s_polynomial(S[0], S[1])
+    w = weak_normal_form(s, S)
+    u, a, h = w.unit, list(w.coefficients), w.normal_form
+    x = S[0].ring.variable(2)
+
+    def failures(unit=u, coefficients=a, normal_form=h):
+        return sympy_certificate_failures(s, S, unit, coefficients, normal_form)
+
+    assert failures() == set()
+    assert "identity" in failures(unit=u + x)
+    assert "identity" in failures(coefficients=[a[0] + x] + a[1:])
+    assert "identity" in failures(normal_form=h + x)
+    # each of the other two conditions fails alone
+    assert failures(2 * u, [2 * c for c in a], 2 * h) == {"unit"}
+    assert failures(coefficients=[a[0] + 1] + a[1:], normal_form=h - S[0]) == {"leading monomial"}

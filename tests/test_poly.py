@@ -228,6 +228,36 @@ def test_disjoint_product_makes_no_add_product_call(monkeypatch):
     assert counts == {"add_product": 1}
 
 
+def test_int_multiples_make_one_mul_term_call(monkeypatch):
+    ring = Ring(7, 3, Order.NEGDEGLEX)
+    f = parse_poly("3X1+X2X3+5X3^2", ring)
+    assert f.leading_coefficient != 1
+    counts = count_calls(monkeypatch, (poly, "add_product"))
+    counts["mul_term"] = 0
+    mul_term = Polynomial.mul_term
+
+    def counted(self, *args):
+        counts["mul_term"] += 1
+        return mul_term(self, *args)
+
+    monkeypatch.setattr(Polynomial, "mul_term", counted)
+
+    def scaled(c):
+        return ring.poly((c * fc, e) for fc, e in exponent_terms(f))
+
+    for multiple, expected in (
+        (lambda: 3 * f, scaled(3)),
+        (lambda: f * -1, scaled(-1)),
+        (lambda: -f, scaled(-1)),
+        (f.monic, scaled(5)),  # 3 * 5 = 1 mod 7
+    ):
+        counts.update(add_product=0, mul_term=0)
+        assert multiple() == expected
+        assert counts == {"add_product": 0, "mul_term": 1}
+    assert f.monic().leading_coefficient == 1
+    assert (f * 0).is_zero and (f * 7).is_zero
+
+
 @pytest.mark.parametrize("order", list(Order))
 def test_one_term_constructors_match_ring_poly(order):
     ring = Ring(5, 3, order)

@@ -261,9 +261,10 @@ def test_add_product_does_not_depend_on_operand_order(args, c):
     ring, f, g = args
     start = {m: fc for fc, m in f.terms}
     for a, b in ((f.terms, g.terms), (f.terms[:1], g.terms), (f.terms, g.terms[:1]), ((), g.terms)):
+        scaled = tuple((ac * c, am) for ac, am in a)  # unreduced, as Mora's ((-qc, q),)
         forward, backward = dict(start), dict(start)
-        add_product(forward, c, a, b, ring)
-        add_product(backward, c, b, a, ring)
+        add_product(forward, scaled, b, ring)
+        add_product(backward, b, scaled, ring)
         assert forward == backward
         product = ref_product(ring, Polynomial(ring, a), Polynomial(ring, b))
         assert ring._from_dict(forward) == f + product * c

@@ -20,12 +20,13 @@ from .monomials import Order
 from .mora import (
     BasisCheck,
     WeakNormalForm,
+    ecart,
     is_standard_basis,
     standard_basis,
     weak_normal_form,
 )
 from .parsing import ParseError, parse_poly, print_poly
-from .poly import Polynomial, Ring, ecart, s_polynomial
+from .poly import Polynomial, Ring, s_polynomial
 
 __all__ = [
     "BasisCheck",

@@ -221,7 +221,9 @@ def verify_closed_form(G: GeneratorMatrix, *, drop_index: int | None = None) -> 
     generators as normalized sets, (b) it passes the standard-basis
     criterion including two-way generation, and (c) its leading terms are
     exactly X_1..X_k and X_(k+1)^p..X_n^p. drop_index removes one element
-    from the closed form first, as a negative control.
+    from the closed form first, as a negative control. A detail names the
+    first failure: for (a) the first missing generator, else the first extra
+    element, in list order; for (c) the largest differing leading monomial.
     """
     closed = closed_form_basis(G)
     translated = translated_generators(G)
@@ -231,12 +233,12 @@ def verify_closed_form(G: GeneratorMatrix, *, drop_index: int | None = None) -> 
         closed = closed[:drop_index] + closed[drop_index + 1 :]
 
     detail = ""
-    generators_match = set(closed) == set(translated)
+    closed_set, translated_set = set(closed), set(translated)
+    generators_match = closed_set == translated_set
     if not generators_match:
-        missing = set(translated) - set(closed)
-        extra = set(closed) - set(translated)
-        sample = next(iter(missing or extra))
-        side = "missing" if missing else "extra"
+        missing = [g for g in translated if g not in closed_set]
+        extra = [f for f in closed if f not in translated_set]
+        side, sample = ("missing", missing[0]) if missing else ("extra", extra[0])
         detail = f"closed form {side} element {sample!s}"
 
     check: BasisCheck = is_standard_basis(closed, translated)
@@ -250,8 +252,8 @@ def verify_closed_form(G: GeneratorMatrix, *, drop_index: int | None = None) -> 
     actual = {f.leading_monomial for f in closed}
     leading_ok = actual == expected
     if not leading_ok and not detail:
-        diff = actual.symmetric_difference(expected)
-        detail = f"leading-term set differs at {Polynomial(ring, ((1, next(iter(diff))),))!s}"
+        diff = max(actual.symmetric_difference(expected), key=ring.key)
+        detail = f"leading-term set differs at {Polynomial(ring, ((1, diff),))!s}"
 
     return VerificationReport(generators_match, bool(check), leading_ok, detail)
 

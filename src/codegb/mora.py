@@ -35,8 +35,8 @@ divisor) cancels exactly h's leading term, which is dropped from h by the
 word the step has already read; a longer g costs O(|g| log |h|) through
 add_multiple. Either way the step makes one field inverse and the scan one
 divides per candidate. Monomials are the ring's packed words (see
-monomials). A reducer computes its own ecart from its first and last
-terms, h's from its smallest word, which under negdeglex has the largest
+monomials). The ecart is this module's: a reducer's is read off its first
+and last words (see ecart), h's off its smallest word, which has the largest
 degree. Certificate entries are never read in leading-term order: h's are
 word -> coefficient dicts, sorted into Polynomials once, at the end (the
 divisors that never reduced share one zero); a recorded reducer freezes
@@ -54,7 +54,7 @@ from typing import Callable, Iterable, Sequence
 
 from . import monomials
 from .buchberger import _prepare, complete, minimalize
-from .poly import Polynomial, TermAccumulator, add_product, check_divisors, ecart, s_polynomial
+from .poly import Polynomial, TermAccumulator, add_product, check_divisors, s_polynomial
 
 
 @dataclass(frozen=True)
@@ -80,6 +80,19 @@ class BasisCheck:
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+def ecart(f: Polynomial) -> int:
+    """deg(f) - deg(lm(f)) under negdeglex, whose last term has the largest degree.
+
+    ValueError for the zero polynomial and for a global order.
+    """
+    ring = f.ring
+    if not ring.order.is_local:
+        raise ValueError("the ecart is read under the local order only")
+    if not f.terms:
+        raise ValueError("the zero polynomial has no ecart")
+    return ring.degree(f.terms[-1][1]) - ring.degree(f.terms[0][1])
 
 
 class _Reducer:
@@ -138,7 +151,6 @@ def weak_normal_form(
     cert: list[dict] = [{one: 1}] + [{} for _ in divisors]
     h = TermAccumulator(ring, f.terms)
     reducers = [_Reducer(g, i + 1) for i, g in enumerate(divisors)]
-    recorded = 0
     steps = 0
 
     while h:
@@ -162,7 +174,6 @@ def weak_normal_form(
                 snapshot = h.to_poly()
                 snapshot_cert = {j: tuple(zip(c.values(), c)) for j, c in enumerate(cert) if c}
                 reducers.append(_Reducer(snapshot, cert=snapshot_cert))
-                recorded += 1
                 if trace:
                     trace(f"record intermediate {snapshot!s} (ecart {h_ecart} < {g.ecart})")
         qc = lc * inv(g.lc) % p
@@ -186,7 +197,7 @@ def weak_normal_form(
         h.to_poly(),
         ring._from_dict(cert[0]),
         tuple(ring._from_dict(a) if a else zero for a in cert[1:]),
-        recorded,
+        len(reducers) - len(divisors),
     )
     _check_certificate(f, divisors, result)
     return result

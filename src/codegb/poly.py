@@ -37,7 +37,8 @@ Ring.one, constant and variable build their one term directly.
 
 Elements of the localized ring attached to a local order are never
 materialized as fractions here; units show up only as polynomial
-certificates u with leading term 1 (see the mora module).
+certificates u with leading term 1, and the ecart that orders local
+reduction is mora's (see the mora module).
 """
 
 from __future__ import annotations
@@ -160,20 +161,6 @@ class Polynomial:
     @property
     def leading_monomial(self) -> int:
         return self.leading_term[1]
-
-    @property
-    def degree(self) -> int:
-        """Max total degree over all terms; undefined for the zero polynomial.
-
-        Under the degree orders one term has it: the last under negdeglex,
-        the first under deglex and degrevlex. Only lex scans.
-        """
-        if not self.terms:
-            raise ValueError("the zero polynomial has no degree")
-        ring = self.ring
-        if ring.order is Order.LEX:
-            return max(ring.degree(m) for _, m in self.terms)
-        return ring.degree(self.terms[-1 if ring.order.is_local else 0][1])
 
     def _check_ring(self, other: Polynomial) -> None:
         if self.ring != other.ring:
@@ -461,8 +448,3 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     fq = monomials.quotient(gamma, fm, guards)
     gq = monomials.quotient(gamma, gm, guards)
     return f.mul_term(inv(fc), fq)._merge(g.mul_term(-inv(gc), gq))
-
-
-def ecart(f: Polynomial) -> int:
-    """deg(f) minus deg(lt(f)); the divisor-selection key under local orders."""
-    return f.degree - f.ring.degree(f.leading_monomial)

@@ -6,10 +6,10 @@ from __future__ import annotations
 import sys
 from operator import add, le, sub
 
-from codegb import monomials
+from codegb import ecart, monomials
 from codegb.codes import random_matrix
 from codegb.monomials import Order
-from codegb.poly import Polynomial, Ring, ecart
+from codegb.poly import Polynomial, Ring
 
 EXAMPLE_MATRIX = """\
 p=3

@@ -1,7 +1,12 @@
 """Generator matrices, code ideals, translated generators, closed form."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -216,13 +221,41 @@ def test_code_basis_is_reduced_groebner_random():
         assert reduce_basis(groebner(basis)) == basis
 
 
-def test_leading_terms_agree_with_mora_route():
+def test_leading_terms_agree_with_mora_route(monkeypatch):
+    # the translated generators' leading words X_1..X_k, X_(k+1)^p..X_n^p are
+    # pairwise coprime, so the product criterion skips every pair
+    counts = count_calls(monkeypatch, (mora, "weak_normal_form"))
     rng = random.Random(777)
-    for _ in range(8):
-        G = random_code(rng)
+    for _ in range(30):
+        G = random_code(rng, ps=(2, 3, 5, 7))
         closed = {f.leading_monomial for f in closed_form_basis(G)}
         computed = {f.leading_monomial for f in standard_basis(translated_generators(G))}
-        assert closed == computed
+        x_word = Ring(G.p, G.n, Order.NEGDEGLEX).variable_word
+        expected = {x_word(i) for i in range(1, G.k + 1)}
+        expected |= {G.p * x_word(i) for i in range(G.k + 1, G.n + 1)}
+        assert closed == computed == expected, G
+    assert counts == {"weak_normal_form": 0}
+
+
+def test_verify_detail_does_not_depend_on_the_hash_seed():
+    # two closed-form elements dropped: the detail names the first missing
+    # translated generator, X1's, whatever order a set of them iterates in
+    code = textwrap.dedent(f"""
+        from codegb import codes
+        full = codes.closed_form_basis
+        codes.closed_form_basis = lambda G: full(G)[2:]
+        print(codes.verify_closed_form(codes.parse_matrix({EXAMPLE_MATRIX!r})).detail)
+    """)
+    src = Path(__file__).resolve().parent.parent / "src"
+    outputs = []
+    for seed in ("1", "6"):
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed)
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout)
+    assert outputs == [f"closed form missing element {CLOSED_FORM_LINES[0]}\n"] * 2
 
 
 def test_verify_closed_form(G):

@@ -13,7 +13,7 @@ import pytest
 
 from codegb.codes import parse_matrix, translated_generators
 from codegb.monomials import Order, divides
-from codegb import mora
+from codegb import ecart, mora
 from codegb.mora import (
     BasisCheck,
     CertificateError,
@@ -22,7 +22,7 @@ from codegb.mora import (
     weak_normal_form,
 )
 from codegb.parsing import parse_poly
-from codegb.poly import Ring, ecart, s_polynomial
+from codegb.poly import Ring, s_polynomial
 
 from helpers import (
     EXAMPLE_MATRIX,

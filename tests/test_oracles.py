@@ -124,23 +124,19 @@ def sympy_certificate_failures(f, divisors, unit, coefficients, h):
     return failed
 
 
-def certificate_cases():
-    """(f, divisors) for the 17 GOLDEN_CERTIFICATE instances and for closed-form S-pairs.
+def closed_form_s_pairs(seed, count, max_terms, min_terms=0):
+    """(s, S) for the nonzero S-polynomials s of count seeded closed forms S.
 
-    The 20 codes are seeded draws with p in {2, 3, 5, 7}, k <= 3, n <= k + 3
-    and at most 40 closed-form terms in all. Their 86 nonzero S-polynomials
-    are reduced by the closed form; 7 of those weak normal forms, and 14 of
-    the golden ones, record intermediates.
+    The codes are distinct draws with p in {2, 3, 5, 7}, k <= 3 and
+    n <= k + 3 whose closed forms have min_terms to max_terms terms in all.
     """
-    for seed, *_ in GOLDEN_CERTIFICATE:
-        yield local_instance(seed)
-    rng = random.Random("sympy-certificates")
+    rng = random.Random(seed)
     codes = []
-    while len(codes) < 20:
+    while len(codes) < count:
         p, k = rng.choice((2, 3, 5, 7)), rng.randint(1, 3)
         G = random_matrix(rng, p, k, rng.randint(k + 1, k + 3))
         S = closed_form_basis(G)
-        if G in codes or sum(len(f.terms) for f in S) > 40:
+        if G in codes or not min_terms <= sum(len(f.terms) for f in S) <= max_terms:
             continue
         codes.append(G)
         for j in range(len(S)):
@@ -150,16 +146,28 @@ def certificate_cases():
                     yield s, S
 
 
-def test_mora_certificates_pass_a_sympy_recheck():
+def sympy_recheck(cases):
+    """Re-check the weak normal form of every (f, divisors) case in sympy.
+
+    Returns how many were checked and how many of them record intermediates.
+    """
     checked = recorded = 0
-    for f, divisors in certificate_cases():
+    for f, divisors in cases:
         w = weak_normal_form(f, divisors)
         assert not sympy_certificate_failures(
             f, divisors, w.unit, w.coefficients, w.normal_form
         ), (str(f), [str(g) for g in divisors])
         checked += 1
         recorded += w.recorded > 0
-    assert (checked, recorded) == (17 + 86, 14 + 7)
+    return checked, recorded
+
+
+def test_mora_certificates_pass_a_sympy_recheck():
+    golden = [local_instance(seed) for seed, *_ in GOLDEN_CERTIFICATE]
+    assert sympy_recheck(golden) == (17, 14)
+    assert sympy_recheck(closed_form_s_pairs("sympy-certificates", 20, 40)) == (86, 7)
+    larger = closed_form_s_pairs("sympy-certificates-large", 10, 100, min_terms=41)
+    assert sympy_recheck(larger) == (80, 19)
 
 
 def test_sympy_recheck_rejects_corrupted_certificates():

@@ -71,7 +71,6 @@ class MiVector:
 
     values: tuple[int, ...]
     support: tuple[int, ...]  # 1-based column indices with nonzero value
-    sigma: int
 
 
 def parse_matrix(text: str) -> GeneratorMatrix:
@@ -119,7 +118,7 @@ def mi_vector(G: GeneratorMatrix, i: int) -> MiVector:
     for j in range(G.k, G.n):
         values[j] = (G.p - G.rows[i - 1][j]) % G.p
     support = tuple(j + 1 for j in range(G.n) if values[j])
-    return MiVector(tuple(values), support, len(support))
+    return MiVector(tuple(values), support)
 
 
 def lex_code_basis(G: GeneratorMatrix) -> list[Polynomial]:
@@ -176,10 +175,12 @@ def closed_form_basis(G: GeneratorMatrix) -> list[Polynomial]:
     The terms are built as words directly: the word of a product of powers
     is the sum of t_h times the word of X_(j_h), one factor at a time, and
     the expansion starts from -1, so the minus sign is already in every
-    coefficient. No coefficient is 0 mod p, since every cap is below p, and
-    no two terms share a monomial, so the terms need no merging: X_i takes
-    the place of the constant term, the first one built, and one sort by
-    word puts them in order.
+    coefficient. Each factor asks the field for one binomial row
+    C(c_h, 0..c_h) mod p, built in O(c_h) operations mod p. No coefficient
+    is 0 mod p, since every cap is below p, and no two terms share a
+    monomial, so the terms need no merging: X_i takes the place of the
+    constant term, the first one built, and one sort by word puts them in
+    order.
     """
     ring = Ring(G.p, G.n, Order.NEGDEGLEX)
     p, binom, x_word = G.p, ring.field.binom, ring.variable_word
@@ -189,7 +190,7 @@ def closed_form_basis(G: GeneratorMatrix) -> list[Polynomial]:
         terms = [(p - 1, monomials.ONE)]
         for j in mi.support:
             cap, x = mi.values[j - 1], x_word(j)
-            powers = [(binom(cap, t), t * x) for t in range(cap + 1)]
+            powers = [(b, t * x) for t, b in enumerate(binom(cap))]
             terms = [(c * b % p, m + xt) for c, m in terms for b, xt in powers]
         terms[0] = (1, x_word(i))
         terms.sort(key=itemgetter(1), reverse=ring.descending)

@@ -2,7 +2,10 @@
 
 Field elements are plain Python ints in [0, p); the modulus is carried by
 a shared PrimeField context instead of per-element storage. Mismatched
-contexts are caught where two contexts meet (see poly.Ring).
+contexts are caught where two contexts meet (see poly.Ring). Besides
+inverses, the field builds whole binomial rows C(c, 0..c) mod p for c < p:
+the closed-form standard basis takes one row per support variable, and a
+row costs O(c).
 """
 
 from __future__ import annotations
@@ -51,32 +54,16 @@ class PrimeField:
             raise ZeroDivisionError(f"0 has no inverse in F_{self.p}")
         return pow(a, self.p - 2, self.p)
 
-    def binom(self, m: int, t: int) -> int:
-        """Binomial coefficient C(m, t) reduced mod p; 0 when t > m.
+    def binom(self, c: int) -> list[int]:
+        """The binomial row [C(c, 0), ..., C(c, c)] mod p, for 0 <= c < p.
 
-        Lucas' theorem: C(m, t) is the product of C(m_i, t_i) over the base-p
-        digits of m and t, so m < p takes one digit. Each digit's factor is
-        the multiplicative formula C(top, s) with s factors above and below,
-        all mod p, and one inverse (no factor below is 0 mod p). s is the
-        least of t_i, m_i - t_i and p - 1 - m_i: for t_i < p, C(x, t_i) mod p
-        depends on x mod p only, so C(m_i, t_i) = C(-g, t_i) =
-        (-1)^t_i C(t_i + g - 1, g - 1) for g = p - m_i.
+        A running product C(c, t) = C(c, t - 1) * (c - t + 1) / t, so a row
+        costs O(c) operations mod p; every t <= c < p is a unit mod p.
         """
-        if m < 0 or t < 0:
-            raise ValueError("binomial coefficient arguments must be non-negative")
         p = self.p
-        result = 1
-        while t:
-            (m, mi), (t, ti) = divmod(m, p), divmod(t, p)
-            if ti > mi:
-                return 0
-            s, top, sign = min(ti, mi - ti), mi, 1
-            if p - 1 - mi < s:
-                s = p - 1 - mi
-                top, sign = ti + s, -1 if ti & 1 else 1
-            above = below = 1
-            for i in range(1, s + 1):
-                above = above * (top - s + i) % p
-                below = below * i % p
-            result = result * sign * above * pow(below, -1, p) % p
-        return result
+        if not 0 <= c < p:
+            raise ValueError(f"binomial row {c} is outside [0, {p})")
+        row = [1]
+        for t in range(1, c + 1):
+            row.append(row[-1] * (c - t + 1) * pow(t, -1, p) % p)
+        return row

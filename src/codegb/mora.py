@@ -172,7 +172,8 @@ def weak_normal_form(
             h_ecart = ring.degree(min(h.coeffs)) - ring.degree(lm)
             if g.ecart > h_ecart:
                 snapshot = h.to_poly()
-                snapshot_cert = {j: tuple(zip(c.values(), c)) for j, c in enumerate(cert) if c}
+                # from lists, at their exact size, as in Ring._from_dict
+                snapshot_cert = {j: tuple([*zip(c.values(), c)]) for j, c in enumerate(cert) if c}
                 reducers.append(_Reducer(snapshot, cert=snapshot_cert))
                 if trace:
                     trace(f"record intermediate {snapshot!s} (ecart {h_ecart} < {g.ecart})")

@@ -106,7 +106,8 @@ class Ring(monomials.Encoding):
     def _from_dict(self, acc: dict[int, int]) -> Polynomial:
         """The polynomial of a word -> nonzero coefficient dict."""
         ordered = sorted(acc, reverse=self.descending)
-        return Polynomial(self, tuple(zip(map(acc.__getitem__, ordered), ordered)))
+        # exact-size tuple from a list; a tuple of a zip is resized as it grows, off the free lists
+        return Polynomial(self, tuple([*zip(map(acc.__getitem__, ordered), ordered)]))
 
     def zero(self) -> Polynomial:
         return Polynomial(self, ())

@@ -1,5 +1,6 @@
 """Generator matrices, code ideals, translated generators, closed form."""
 
+import math
 import os
 import random
 import subprocess
@@ -107,7 +108,6 @@ def test_mi_vectors(G):
     m1 = mi_vector(G, 1)
     assert m1.values == (0, 0, 0, 2, 0, 2)
     assert m1.support == (4, 6)
-    assert m1.sigma == 2
     m2 = mi_vector(G, 2)
     assert m2.values == (0, 0, 0, 1, 2, 0)
     assert m2.support == (4, 5)
@@ -121,7 +121,8 @@ def test_mi_vectors(G):
 def test_mi_vector_empty_support():
     G = parse_matrix("p=3\nk=1 n=2\n1 0\n")
     mi = mi_vector(G, 1)
-    assert mi.support == () and mi.sigma == 0
+    assert mi.values == (0, 0)
+    assert mi.support == ()
 
 
 def test_lex_code_basis(G):
@@ -182,6 +183,24 @@ def test_closed_form_binary_is_subset_sums():
                     mono = tuple(1 if j + 1 in subset else 0 for j in range(n))
                     terms.append((1, mono))  # -1 == 1 mod 2
             assert closed[i - 1] == ring.poly(terms)
+
+
+@pytest.mark.parametrize("p, g", [(1009, 337), (4001, 1334), (2**61 - 1, 2**61 - 6)])
+def test_closed_form_over_a_large_prime_with_a_middle_cap(p, g):
+    # caps 672, 2 667 and 5: X1 minus one binomial row, against math.comb
+    G = GeneratorMatrix(p, 1, 2, ((1, g),))
+    ring = Ring(p, 2, Order.NEGDEGLEX)
+    c = p - g
+    row = [(-math.comb(c, t) % p, (0, t)) for t in range(1, c + 1)]
+    assert closed_form_basis(G) == [ring.poly([(1, (1, 0)), *row]), ring.poly([(1, (0, p))])]
+
+
+def test_closed_form_asks_one_binomial_row_per_support_variable(G, monkeypatch):
+    caps = []
+    binom = gfp.PrimeField.binom
+    monkeypatch.setattr(gfp.PrimeField, "binom", lambda field, c: caps.append(c) or binom(field, c))
+    assert [print_poly(f) for f in closed_form_basis(G)] == CLOSED_FORM_LINES
+    assert caps == [2, 2, 1, 2, 1, 1, 2]  # the caps of m_1, m_2 and m_3, in support order
 
 
 def test_closed_form_constant_term_is_zero():

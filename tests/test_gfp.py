@@ -1,11 +1,9 @@
-"""Primality, prime-field inverses and binomial coefficients mod p."""
+"""Primality, prime-field inverses and binomial rows mod p."""
 
 import math
 
 import pytest
 import sympy
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from codegb.gfp import PrimeField, is_prime
 
@@ -57,45 +55,37 @@ def test_inverse_of_zero_rejected():
 
 
 def test_binom_examples():
-    assert PrimeField(3).binom(3, 1) == 0  # C(p, j) vanishes mod p
-    assert PrimeField(3).binom(2, 1) == 2
-    assert PrimeField(5).binom(2, 3) == 0  # t > m
-    for p in (2, 3, 5):
-        field = PrimeField(p)
-        for m in range(p + 1):
-            assert field.binom(m, 0) == 1
+    assert PrimeField(3).binom(0) == [1]
+    assert PrimeField(3).binom(2) == [1, 2, 1]
+    assert PrimeField(7).binom(3) == [1, 3, 3, 1]
+    assert PrimeField(5).binom(4) == [1, 4, 1, 4, 1]  # C(4, t) = 4, 6 reduce mod 5
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 101])
 def test_binom_matches_math_comb(p):
     field = PrimeField(p)
-    for m in range(p + 1):
-        for t in range(p + 2):
-            assert field.binom(m, t) == math.comb(m, t) % p
+    for c in range(p):
+        assert field.binom(c) == [math.comb(c, t) % p for t in range(c + 1)]
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_binom_rows_at_large_primes():
+    # caps far from both 0 and p - 1, where a row is long or its entries are large
+    for p, caps in ((4001, (1, 2, 672, 2667)), (2**61 - 1, (1, 5, 64, 1000))):
+        field = PrimeField(p)
+        for c in caps:
+            assert field.binom(c) == [math.comb(c, t) % p for t in range(c + 1)], (p, c)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 101])
 def test_binom_row_sum(p):
     field = PrimeField(p)
-    for m in range(p + 1):
-        row_sum = sum(field.binom(m, t) for t in range(m + 1)) % p
-        assert row_sum == pow(2, m, p)
+    for c in range(p):
+        assert sum(field.binom(c)) % p == pow(2, c, p)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(
-    st.sampled_from((2, 3, 5, 7, 13, 101, 4001, 2**61 - 1)),
-    st.integers(0, 3000),
-    st.integers(0, 3100),
-)
-def test_binom_matches_math_comb_across_base_p_digits(p, m, t):
-    # m >= p takes Lucas' theorem over several base-p digits, t > m gives 0
-    assert PrimeField(p).binom(m, t) == math.comb(m, t) % p
-
-
-def test_binom_negative_arguments_rejected():
-    field = PrimeField(5)
-    with pytest.raises(ValueError):
-        field.binom(-1, 0)
-    with pytest.raises(ValueError):
-        field.binom(3, -2)
+@pytest.mark.parametrize("p", [2, 5, 4001])
+def test_binom_row_outside_the_field_rejected(p):
+    field = PrimeField(p)
+    for c in (-1, p):
+        with pytest.raises(ValueError, match=rf"binomial row {c} is outside \[0, {p}\)"):
+            field.binom(c)

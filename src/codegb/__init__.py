@@ -4,7 +4,6 @@ from .buchberger import groebner, minimalize, product_criterion, reduce_basis
 from .codes import (
     GeneratorMatrix,
     MatrixFormatError,
-    MiVector,
     VerificationReport,
     closed_form_basis,
     lex_code_basis,
@@ -33,7 +32,6 @@ __all__ = [
     "DivisionResult",
     "GeneratorMatrix",
     "MatrixFormatError",
-    "MiVector",
     "Order",
     "ParseError",
     "Polynomial",

@@ -1,11 +1,12 @@
 """Linear codes over F_p and their binomial ideals.
 
 A [n, k] code is given by a generator matrix in standard form (I_k | M).
-Each row i yields the vector m_i with entries (p - g_ij) mod p on the
-right block; those vectors shape both the lexicographic Groebner basis of
-the code ideal and, after translating the common zero (1, ..., 1) to the
-origin, the closed-form standard basis of the translated ideal under the
-negative degree lexicographic order.
+Each row i yields the vector m_i, a tuple of n ints: (p - g_ij) mod p on
+the right block, else 0. Those vectors shape both the lexicographic
+Groebner basis of the code ideal and, after translating the common zero
+(1, ..., 1) to the origin, the closed-form standard basis of the translated
+ideal under the negative degree lexicographic order. A closed form of more
+than MAX_CLOSED_FORM_TERMS terms is refused with ValueError, unbuilt.
 """
 
 from __future__ import annotations
@@ -25,6 +26,10 @@ from .poly import Polynomial, Ring
 # A matrix entry: ASCII decimal digits, as in polynomial text. A '-' sign is
 # read, so that a negative entry is reported as outside [0, p).
 _ENTRY = re.compile(r"-?[0-9]+")
+
+# The most terms, summed over rows, that closed_form_basis and translated_generators build:
+# at their peak of 125-223 bytes per term, about 0.2 GiB. p=3, n=12 all ones has 177 147.
+MAX_CLOSED_FORM_TERMS = 2**20
 
 
 class MatrixFormatError(ValueError):
@@ -65,14 +70,6 @@ class GeneratorMatrix:
                     )
 
 
-@dataclass(frozen=True)
-class MiVector:
-    """Row vector m_i: entries (p - g_ij) mod p on columns k+1..n, else 0."""
-
-    values: tuple[int, ...]
-    support: tuple[int, ...]  # 1-based column indices with nonzero value
-
-
 def parse_matrix(text: str) -> GeneratorMatrix:
     """Parse the matrix wire format.
 
@@ -110,15 +107,25 @@ def _header_int(digits: str, line: int) -> int:
         raise MatrixFormatError(f"line {line}: {too_many_digits(digits)}") from None
 
 
-def mi_vector(G: GeneratorMatrix, i: int) -> MiVector:
-    """The vector m_i for row i (1-based), i.e. p - g_ij on the right block."""
+def mi_vector(G: GeneratorMatrix, i: int) -> tuple[int, ...]:
+    """The vector m_i of row i (1-based): n ints, (p - g_ij) mod p on the right block, else 0."""
     if not 1 <= i <= G.k:
         raise ValueError(f"row index {i} out of range [1, {G.k}]")
-    values = [0] * G.n
-    for j in range(G.k, G.n):
-        values[j] = (G.p - G.rows[i - 1][j]) % G.p
-    support = tuple(j + 1 for j in range(G.n) if values[j])
-    return MiVector(tuple(values), support)
+    return (0,) * G.k + tuple((G.p - g) % G.p for g in G.rows[i - 1][G.k :])
+
+
+def _mi_vectors(G: GeneratorMatrix) -> list[tuple[int, ...]]:
+    """m_1, ..., m_k; ValueError, before any term is built, if they ask for too many terms."""
+    vectors = [mi_vector(G, i) for i in range(1, G.k + 1)]
+    total = 0
+    for mi in vectors:
+        size = 1  # row i's closed form and translated generator have prod_j (m_ij + 1) terms
+        for cap in mi:
+            size *= cap + 1
+            if total + size > MAX_CLOSED_FORM_TERMS:
+                raise ValueError(f"the closed form has more than {MAX_CLOSED_FORM_TERMS} terms")
+        total += size
+    return vectors
 
 
 def lex_code_basis(G: GeneratorMatrix) -> list[Polynomial]:
@@ -128,10 +135,7 @@ def lex_code_basis(G: GeneratorMatrix) -> list[Polynomial]:
     for the free columns.
     """
     ring = Ring(G.p, G.n, Order.LEX)
-    out = []
-    for i in range(1, G.k + 1):
-        mi = mi_vector(G, i)
-        out.append(ring.poly([(1, variable(i, G.n)), (G.p - 1, mi.values)]))
+    out = [ring.poly([(1, variable(i, G.n)), (G.p - 1, mi_vector(G, i))]) for i in range(1, G.k + 1)]
     for i in range(G.k + 1, G.n + 1):
         power = tuple(G.p if j == i - 1 else 0 for j in range(G.n))
         out.append(ring.poly([(1, power), (G.p - 1, (0,) * G.n)]))
@@ -148,11 +152,11 @@ def translated_generators(G: GeneratorMatrix) -> list[Polynomial]:
     """
     ring = Ring(G.p, G.n, Order.NEGDEGLEX)
     out = []
-    for i in range(1, G.k + 1):
-        mi = mi_vector(G, i)
+    for i, mi in enumerate(_mi_vectors(G), start=1):
         prod_part = ring.constant(G.p - 1)
-        for j in mi.support:
-            prod_part = prod_part * (ring.variable(j) + 1) ** mi.values[j - 1]
+        for j, cap in enumerate(mi, start=1):
+            if cap:
+                prod_part = prod_part * (ring.variable(j) + 1) ** cap
         out.append(ring.variable(i) + 1 + prod_part)
     for i in range(G.k + 1, G.n + 1):
         out.append((ring.variable(i) + 1) ** G.p + (G.p - 1))
@@ -185,13 +189,13 @@ def closed_form_basis(G: GeneratorMatrix) -> list[Polynomial]:
     ring = Ring(G.p, G.n, Order.NEGDEGLEX)
     p, binom, x_word = G.p, ring.field.binom, ring.variable_word
     out = []
-    for i in range(1, G.k + 1):
-        mi = mi_vector(G, i)
+    for i, mi in enumerate(_mi_vectors(G), start=1):
         terms = [(p - 1, monomials.ONE)]
-        for j in mi.support:
-            cap, x = mi.values[j - 1], x_word(j)
-            powers = [(b, t * x) for t, b in enumerate(binom(cap))]
-            terms = [(c * b % p, m + xt) for c, m in terms for b, xt in powers]
+        for j, cap in enumerate(mi, start=1):
+            if cap:
+                x = x_word(j)
+                powers = [(b, t * x) for t, b in enumerate(binom(cap))]
+                terms = [(c * b % p, m + xt) for c, m in terms for b, xt in powers]
         terms[0] = (1, x_word(i))
         terms.sort(key=itemgetter(1), reverse=ring.descending)
         out.append(Polynomial(ring, tuple(terms)))

@@ -43,7 +43,7 @@ reduction is mora's (see the mora module).
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -328,10 +328,8 @@ def add_product(acc: dict[int, int], a: Sequence[Term], b: Sequence[Term], ring:
 
     a and b are sequences of (coefficient, word) pairs, each with distinct
     words: a Polynomial's terms, a single term ((c, q),), a Mora cofactor.
-    The shorter one runs in the outer loop.
+    a runs in the outer loop; callers pass the shorter first, as __mul__ and Mora's quotient do.
     """
-    if len(a) > len(b):
-        a, b = b, a
     p = ring.p
     seen = 0  # the OR of all products, for one guard test
     for c1, m1 in a:
@@ -363,11 +361,10 @@ class TermAccumulator:
     __slots__ = ("ring", "coeffs", "heap")
 
     def __init__(self, ring: Ring, terms: Iterable[Term]):
-        """Start from normalized terms: nonzero coefficients, distinct monomials."""
+        """Start from a Polynomial's descending terms; their heap keys ascend, so form a heap."""
         self.ring = ring
         self.coeffs: dict[int, int] = {m: c for c, m in terms}
         self.heap = list(map(ring.heap_key, self.coeffs))
-        heapify(self.heap)
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)

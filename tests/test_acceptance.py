@@ -249,7 +249,7 @@ def test_09_binary_closed_form_is_subset_sums():
         ring = Ring(2, G.n, Order.NEGDEGLEX)
         closed = closed_form_basis(G)
         for i in range(1, G.k + 1):
-            support = mi_vector(G, i).support
+            support = [j for j, cap in enumerate(mi_vector(G, i), start=1) if cap]
             terms = [(1, variable(i, G.n))]
             for size in range(1, len(support) + 1):
                 for subset in combinations(support, size):

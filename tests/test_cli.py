@@ -566,6 +566,19 @@ def test_variable_count_is_at_most_65536(capsys, tmp_path):
     assert (code, out, err) == (2, "", "error: variable count 65537 exceeds 65536\n")
 
 
+@pytest.mark.parametrize("text", [f"p={2**61 - 1}\nk=1 n=2\n1 1\n", "p=10007\nk=1 n=4\n1 1 1 1\n"])
+def test_a_closed_form_too_large_to_build_exits_2_at_once(capsys, tmp_path, text):
+    # 2^61 - 1 and 10 007^3 terms: refused before any is built, not a hang or a MemoryError
+    matrix = tmp_path / "matrix.txt"
+    matrix.write_text(text)
+    error = f"error: the closed form has more than {codes.MAX_CLOSED_FORM_TERMS} terms\n"
+    for command in (["verify"], ["standard-basis"], ["standard-basis", "--method", "mora"]):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *command, str(matrix))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (2, "", error)
+
+
 def test_code_commands_need_x_to_the_p_to_fit(capsys, tmp_path):
     # X_i^p is in every closed form: p must stay below 2^63, the 64-bit exponent bound
     p = 9223372036854775837

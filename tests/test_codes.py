@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from codegb import gfp, monomials, mora
+from codegb import codes, gfp, monomials, mora
 from codegb.buchberger import groebner, reduce_basis
 from codegb.codes import (
     GeneratorMatrix,
@@ -28,7 +28,7 @@ from codegb.division import divide
 from codegb.monomials import Order, variable
 from codegb.mora import standard_basis
 from codegb.parsing import print_poly
-from codegb.poly import Ring
+from codegb.poly import Polynomial, Ring
 
 from helpers import (
     CLOSED_FORM_LINES,
@@ -105,24 +105,16 @@ def test_parse_rejects_bad_shapes():
 
 
 def test_mi_vectors(G):
-    m1 = mi_vector(G, 1)
-    assert m1.values == (0, 0, 0, 2, 0, 2)
-    assert m1.support == (4, 6)
-    m2 = mi_vector(G, 2)
-    assert m2.values == (0, 0, 0, 1, 2, 0)
-    assert m2.support == (4, 5)
-    m3 = mi_vector(G, 3)
-    assert m3.values == (0, 0, 0, 1, 1, 2)
-    assert m3.support == (4, 5, 6)
+    assert mi_vector(G, 1) == (0, 0, 0, 2, 0, 2)
+    assert mi_vector(G, 2) == (0, 0, 0, 1, 2, 0)
+    assert mi_vector(G, 3) == (0, 0, 0, 1, 1, 2)
     with pytest.raises(ValueError):
         mi_vector(G, 4)
 
 
 def test_mi_vector_empty_support():
     G = parse_matrix("p=3\nk=1 n=2\n1 0\n")
-    mi = mi_vector(G, 1)
-    assert mi.values == (0, 0)
-    assert mi.support == ()
+    assert mi_vector(G, 1) == (0, 0)
 
 
 def test_lex_code_basis(G):
@@ -176,7 +168,7 @@ def test_closed_form_binary_is_subset_sums():
         ring = Ring(2, n, Order.NEGDEGLEX)
         closed = closed_form_basis(G)
         for i in range(1, k + 1):
-            support = mi_vector(G, i).support
+            support = [j for j, cap in enumerate(mi_vector(G, i), start=1) if cap]
             terms = [(1, variable(i, n))]
             for size in range(1, len(support) + 1):
                 for subset in combinations(support, size):
@@ -201,6 +193,29 @@ def test_closed_form_asks_one_binomial_row_per_support_variable(G, monkeypatch):
     monkeypatch.setattr(gfp.PrimeField, "binom", lambda field, c: caps.append(c) or binom(field, c))
     assert [print_poly(f) for f in closed_form_basis(G)] == CLOSED_FORM_LINES
     assert caps == [2, 2, 1, 2, 1, 1, 2]  # the caps of m_1, m_2 and m_3, in support order
+
+
+@pytest.mark.parametrize("build", [closed_form_basis, translated_generators])
+def test_closed_form_size_is_capped_before_any_term_is_built(G, build, monkeypatch):
+    # the rows of the example code have prod_j (m_ij + 1) = 9, 6 and 12 terms
+    monkeypatch.setattr(codes, "MAX_CLOSED_FORM_TERMS", 27)
+    assert [len(f.terms) for f in build(G)[: G.k]] == [9, 6, 12]
+    monkeypatch.setattr(codes, "MAX_CLOSED_FORM_TERMS", 26)
+
+    def built(*args):
+        raise AssertionError("built a binomial row or a polynomial")
+
+    monkeypatch.setattr(gfp.PrimeField, "binom", built)
+    monkeypatch.setattr(Polynomial, "__init__", built)
+    with pytest.raises(ValueError, match="^the closed form has more than 26 terms$"):
+        build(G)
+
+
+@pytest.mark.parametrize("build", [closed_form_basis, translated_generators])
+def test_the_largest_code_in_use_is_below_the_size_cap(build):
+    # p=3, n=12 all ones: 3^11 = 177 147 terms in X1's element, and 11 pure powers
+    G = GeneratorMatrix(3, 1, 12, ((1,) * 12,))
+    assert [len(f.terms) for f in build(G)] == [3**11] + [1] * 11
 
 
 def test_closed_form_constant_term_is_zero():

@@ -7,7 +7,9 @@ against the size of its quotient, which the code fixes in advance: the
 ideal of an [n, k] code over F_p has p^(n-k) standard monomials, under the
 local order at the translated origin as under a global order. Mora
 certificates u*f = sum(a_i f_i) + h are re-checked in sympy's F_p
-polynomials, with the local order's comparison written out here.
+polynomials, with the local order's comparison written out here. Membership
+in the translated ideal I is decided without any standard basis: R/I is the
+group algebra F_p[F_p^(n-k)] of the syndromes, where X_i is [s_i] - 1.
 """
 
 import random
@@ -28,7 +30,7 @@ from codegb.monomials import Order
 from codegb.mora import standard_basis, weak_normal_form
 from codegb.poly import Ring, s_polynomial
 
-from helpers import EXAMPLE_MATRIX, exponent_terms, random_nonzero_poly, ref_divides
+from helpers import EXAMPLE_MATRIX, exponent_terms, random_code, random_nonzero_poly, ref_divides
 from test_golden_reduction import GOLDEN_CERTIFICATE, local_instance
 
 SYMPY_ORDER = {Order.LEX: "lex", Order.DEGLEX: "grlex", Order.DEGREVLEX: "grevlex"}
@@ -187,3 +189,70 @@ def test_sympy_recheck_rejects_corrupted_certificates():
     # each of the other two conditions fails alone
     assert failures(2 * u, [2 * c for c in a], 2 * h) == {"unit"}
     assert failures(coefficients=[a[0] + 1] + a[1:], normal_form=h - S[0]) == {"leading monomial"}
+
+
+def syndrome_image(f, G):
+    """f's image in F_p[F_p^(n-k)], as a syndrome -> nonzero coefficient dict.
+
+    X_i maps to [s_i] - 1, for s_i column i of the parity-check matrix
+    H = (-M^T | I_(n-k)) of G = (I_k | M). The map is onto with kernel the
+    translated code ideal, so f is a member exactly when its image is {}.
+    """
+    p, k, n = G.p, G.k, G.n
+    zero = (0,) * (n - k)
+    columns = [tuple(-G.rows[i][k + r] % p for r in range(n - k)) for i in range(k)]
+    columns += [tuple(int(r == i) for r in range(n - k)) for i in range(n - k)]
+    powers = {}  # (i, e) -> ([s_i] - 1)^e
+
+    def convolve(a, b):
+        out = {}
+        for u, x in a.items():
+            for v, y in b.items():
+                w = tuple((s + t) % p for s, t in zip(u, v))
+                out[w] = (out.get(w, 0) + x * y) % p
+        return {w: c for w, c in out.items() if c}
+
+    def power(i, e):
+        if (i, e) not in powers:
+            x = {columns[i]: 1, zero: p - 1} if any(columns[i]) else {}  # [s_i] - 1
+            powers[i, e] = convolve(power(i, e - 1), x) if e else {zero: 1}
+        return powers[i, e]
+
+    image = {}
+    for c, e in exponent_terms(f):
+        term = {zero: c}
+        for i, ei in enumerate(e):
+            if ei:
+                term = convolve(term, power(i, ei))
+        for w, x in term.items():
+            image[w] = (image.get(w, 0) + x) % p
+    return {w: c for w, c in image.items() if c}
+
+
+def test_syndrome_oracle_decides_membership_in_the_translated_ideal():
+    rng = random.Random("syndrome-oracle")
+    codes = []
+    while len(codes) < 40:
+        G = random_code(rng, ps=(2, 3, 5, 7))
+        if G.p ** (G.n - G.k) <= 243 and G not in codes:
+            codes.append(G)
+    elements = certificates = 0
+    for G in codes:
+        closed = closed_form_basis(G)
+        for f in closed + translated_generators(G):
+            assert syndrome_image(f, G) == {}, (G, str(f))
+        ring = closed[0].ring
+        for i in range(G.n):
+            syndrome = G.rows[i][G.k :] if i < G.k else (1,)
+            assert bool(syndrome_image(ring.variable(i + 1), G)) == any(syndrome), (G, i)
+        for j in range(len(closed)):
+            for i in range(j):
+                s = s_polynomial(closed[i], closed[j])
+                if s:
+                    w = weak_normal_form(s, closed)
+                    assert syndrome_image(w.unit * s - w.normal_form, G) == {}, (G, i, j)
+                    certificates += 1
+            # a member, though a weak normal form against the other elements misses it
+            assert weak_normal_form(closed[j], closed[:j] + closed[j + 1 :]).normal_form, (G, j)
+            elements += 1
+    assert (elements, certificates) == (143, 156)

@@ -291,6 +291,23 @@ def test_convert_is_explicit(local6):
         Ring(3, 5, Order.LEX).convert(f)
 
 
+def test_foreign_operands_exponents_and_empty_accumulators_are_refused(local6):
+    # the protocol and error lines that no other test or workload reaches
+    f = parse_poly("X1+2X4^2", local6)
+    for k in (-1, 1.5):
+        with pytest.raises(ValueError, match="non-negative int"):
+            f**k
+    for op in (lambda: f + "x", lambda: f - "x", lambda: f * 1.5):
+        with pytest.raises(TypeError):
+            op()
+    assert (f == 3, local6 == 3) == (False, False)
+    assert repr(f) == f"Polynomial({f})" == "Polynomial(X1+2X4^2)"
+    acc = poly.TermAccumulator(local6, f.terms[:1])
+    acc.drop_leading(acc.leading_term()[1])
+    with pytest.raises(ValueError, match="no leading term"):
+        acc.leading_term()
+
+
 def test_polynomials_are_hashable(local6):
     f = parse_poly(G1, local6)
     g = parse_poly(G1, local6)

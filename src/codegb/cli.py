@@ -216,7 +216,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ZeroDivisionError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         # ParseError and MatrixFormatError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from operator import itemgetter
 
 from . import monomials
 from .gfp import is_prime
-from .monomials import Order, variable
+from .monomials import Order
 from .mora import BasisCheck, is_standard_basis
 from .parsing import content_lines, too_many_digits
 from .poly import Polynomial, Ring
@@ -135,7 +134,7 @@ def lex_code_basis(G: GeneratorMatrix) -> list[Polynomial]:
     for the free columns.
     """
     ring = Ring(G.p, G.n, Order.LEX)
-    out = [ring.poly([(1, variable(i, G.n)), (G.p - 1, mi_vector(G, i))]) for i in range(1, G.k + 1)]
+    out = [ring.variable(i) + ring.term(G.p - 1, mi_vector(G, i)) for i in range(1, G.k + 1)]
     for i in range(G.k + 1, G.n + 1):
         power = tuple(G.p if j == i - 1 else 0 for j in range(G.n))
         out.append(ring.poly([(1, power), (G.p - 1, (0,) * G.n)]))
@@ -197,8 +196,7 @@ def closed_form_basis(G: GeneratorMatrix) -> list[Polynomial]:
                 powers = [(b, t * x) for t, b in enumerate(binom(cap))]
                 terms = [(c * b % p, m + xt) for c, m in terms for b, xt in powers]
         terms[0] = (1, x_word(i))
-        terms.sort(key=itemgetter(1), reverse=ring.descending)
-        out.append(Polynomial(ring, tuple(terms)))
+        out.append(ring._from_terms(terms))
     for i in range(G.k + 1, G.n + 1):
         power = tuple(G.p if j == i - 1 else 0 for j in range(G.n))
         out.append(ring.term(1, power))

@@ -24,7 +24,9 @@ b - a, and the monomial 1 is the word 0 in every ring. The lcm takes the
 larger exponent of every field with one more guard-bit subtraction and
 unpacks only its result, for the degree. Exponent tuples appear otherwise
 only at the edges, through Encoding.encode and Encoding.exponents, which
-(un)pack the fields with struct in one C call.
+(un)pack the fields with struct in one C call; the parser sums multiples of
+variable_word instead. A word holds n*w bits (128 KiB at n = 65 536 with
+16-bit fields), and a polynomial keeps one per term.
 
 The field width w is the smallest of 16, 32 and 64 bits whose exponent
 range exceeds 2p: the closed forms and translated generators of codes over
@@ -116,12 +118,17 @@ class Encoding:
         """The exponent tuple of a word."""
         return self._struct.unpack((word & self.fields).to_bytes(self.shift // 8, self._byteorder))
 
+    def field_mask(self, lo: int, hi: int) -> int:
+        """The mask of the fields of X_(lo+1) .. X_hi, for 0 <= lo <= hi <= n."""
+        bottom = self.n - hi if self.descending else lo  # counted in fields from the bottom
+        return ((1 << (hi - lo) * self.width) - 1) << bottom * self.width
+
     def variable_word(self, i: int) -> int:
         """The word of X_i, with i in [1, n]: a 1 in X_i's field, plus the degree 1."""
         if not 1 <= i <= self.n:
             raise ValueError(f"variable index {i} out of range [1, {self.n}]")
-        field = self.n - i if self.descending else i - 1  # counted from the bottom
-        return (1 << field * self.width) + self.degree_unit
+        mask = self.field_mask(i - 1, i)
+        return (mask & -mask) + self.degree_unit
 
 
 def check(product: int, guards: int) -> None:
@@ -171,10 +178,3 @@ def coprime(a: int, b: int, encoding: Encoding) -> bool:
     guards = encoding.guards
     low = guards - (guards >> (encoding.width - 1))
     return not (a + low) & (b + low) & guards
-
-
-def variable(i: int, n: int) -> tuple[int, ...]:
-    """The exponents of X_i, with i in [1, n]."""
-    if not 1 <= i <= n:
-        raise ValueError(f"variable index {i} out of range [1, {n}]")
-    return tuple(1 if j == i - 1 else 0 for j in range(n))

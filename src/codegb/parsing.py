@@ -14,7 +14,8 @@ coefficient and a variable and between variables, so 2X4^2X6^2 and
 Reading takes two steps. One compiled regular expression scans the whole
 text into (kind, value, line, col) tokens before the grammar is applied, so
 an unexpected character is reported even where the grammar would fail
-earlier (X1++Y fails at Y). One loop then reads the grammar from the tokens.
+earlier (X1++Y fails at Y). One loop then reads the grammar from the tokens
+and adds exponent * ring.variable_word(i) per factor to its term's n*w-bit word.
 A ParseError's line counts newlines and its col counts code points since
 the last one. Digits are ASCII 0-9 and whitespace is space, tab, carriage
 return and newline: Python's \\d and \\s would also accept the digits and
@@ -138,7 +139,8 @@ def parse_poly(text: str, ring: Ring) -> Polynomial:
     if not text.strip(" \t\r\n"):
         raise ParseError("empty polynomial text", 1, 1)
     tokens = _scan(text)
-    terms = []
+    x_word, bound, guards, p = ring.variable_word, ring.bound, ring.guards, ring.p
+    acc: dict[int, int] = {}  # word -> coefficient
     i, sign = (1, -1) if tokens[0][0] == "-" else (0, 1)
     while True:
         kind, coeff, line, col = tokens[i]
@@ -148,7 +150,7 @@ def parse_poly(text: str, ring: Ring) -> Polynomial:
             coeff = 1
         else:
             raise ParseError("expected a coefficient or a variable", line, col)
-        mono = [0] * ring.n
+        word = ONE
         while True:
             kind, index, line, col = tokens[i]
             if kind == "*":
@@ -167,17 +169,14 @@ def parse_poly(text: str, ring: Ring) -> Polynomial:
                 if kind != "int":
                     raise ParseError("expected a non-negative integer exponent after '^'", line, col)
                 i += 2
-            mono[index - 1] += exponent
-            if mono[index - 1] > ring.bound:  # at the exponent that crosses the bound
-                raise ParseError(
-                    f"exponent of X{index} exceeds {ring.bound}, the largest exponent of this ring",
-                    line,
-                    col,
-                )
-        terms.append((sign * coeff, tuple(mono)))
+            # two exponents at most the bound cannot carry out of the field; they set its guard bit
+            if exponent > bound or (word := word + exponent * x_word(index)) & guards:
+                message = f"exponent of X{index} exceeds {bound}, the largest exponent of this ring"
+                raise ParseError(message, line, col)
+        acc[word] = (acc.get(word, 0) + sign * coeff) % p
         kind, value, line, col = tokens[i]
         if kind == "end":
-            return ring.poly(terms)
+            return ring._from_dict({m: c for m, c in acc.items() if c})
         if kind not in ("+", "-"):
             raise ParseError(f"expected '+', '-' or end of input, got {value!r}", line, col)
         i, sign = i + 1, 1 if kind == "+" else -1
@@ -206,8 +205,7 @@ class _Group(dict):
 
     def __init__(self, ring: Ring, powers: list[_Powers], lo: int, hi: int):
         super().__init__()
-        width = ring.width
-        self.mask = ((1 << (hi - lo) * width) - 1) << (ring.n - hi if ring.descending else lo) * width
+        self.mask = ring.field_mask(lo, hi)
         self.exponents = ring.exponents
         self.powers = powers[lo:hi]
         self.run = slice(lo, hi)

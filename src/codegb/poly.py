@@ -4,7 +4,8 @@ A Polynomial is a strictly descending sequence of (coefficient, monomial)
 terms under its ring's order, with no zero coefficients and no repeated
 monomials; the zero polynomial is the empty sequence. Every monomial is a
 word, one int in the format of its ring (a Ring is a monomials.Encoding):
-Ring.poly and Ring.term take exponent tuples, Ring.exponents gives them back.
+Ring.poly and Ring.term take exponent tuples, Ring.exponents gives them back;
+the parser builds its n*w-bit words itself (see monomials) for Ring._from_dict.
 Polynomials never leave their ring implicitly: leading-term queries are
 only meaningful for a fixed order, so rebinding to another order is the
 explicit Ring.convert operation.
@@ -108,6 +109,11 @@ class Ring(monomials.Encoding):
         ordered = sorted(acc, reverse=self.descending)
         # exact-size tuple from a list; a tuple of a zip is resized as it grows, off the free lists
         return Polynomial(self, tuple([*zip(map(acc.__getitem__, ordered), ordered)]))
+
+    def _from_terms(self, terms: list[Term]) -> Polynomial:
+        """The polynomial of a list of nonzero terms with distinct words, sorted in place."""
+        terms.sort(key=itemgetter(1), reverse=self.descending)
+        return Polynomial(self, tuple(terms))
 
     def zero(self) -> Polynomial:
         return Polynomial(self, ())
@@ -240,9 +246,7 @@ class Polynomial:
             # each field of a product word comes from one factor, so no word
             # overflows and no two coincide; one sorted run per term of a
             p = ring.p
-            terms = [(c1 * c2 % p, m1 + m2) for c1, m1 in a for c2, m2 in b]
-            terms.sort(key=itemgetter(1), reverse=ring.descending)
-            return Polynomial(ring, tuple(terms))
+            return ring._from_terms([(c1 * c2 % p, m1 + m2) for c1, m1 in a for c2, m2 in b])
         acc: dict[int, int] = {}
         add_product(acc, a, b, ring)
         return ring._from_dict(acc)

@@ -25,7 +25,7 @@ from codegb.codes import (
     verify_closed_form,
 )
 from codegb.division import divide
-from codegb.monomials import Order, variable
+from codegb.monomials import Order
 from codegb.mora import standard_basis
 from codegb.parsing import print_poly
 from codegb.poly import Polynomial, Ring
@@ -169,7 +169,7 @@ def test_closed_form_binary_is_subset_sums():
         closed = closed_form_basis(G)
         for i in range(1, k + 1):
             support = [j for j, cap in enumerate(mi_vector(G, i), start=1) if cap]
-            terms = [(1, variable(i, n))]
+            terms = [(1, tuple(1 if j == i - 1 else 0 for j in range(n)))]
             for size in range(1, len(support) + 1):
                 for subset in combinations(support, size):
                     mono = tuple(1 if j + 1 in subset else 0 for j in range(n))

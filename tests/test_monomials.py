@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from codegb import monomials
-from codegb.monomials import Order, divides, lcm, quotient, variable
+from codegb.monomials import Order, divides, lcm, quotient
 from codegb.poly import Ring
 
 ALL_ORDERS = list(Order)
@@ -56,12 +56,12 @@ def test_is_local():
 @pytest.mark.parametrize("order", GLOBAL_ORDERS)
 def test_global_orders_put_one_below_variables(order):
     for i in range(1, 5):
-        assert compare(order, (0, 0, 0, 0), variable(i, 4)) == -1
+        assert compare(order, (0, 0, 0, 0), tuple(1 if j == i - 1 else 0 for j in range(4))) == -1
 
 
 def test_local_order_puts_one_above_variables():
     for i in range(1, 5):
-        assert compare(Order.NEGDEGLEX, (0, 0, 0, 0), variable(i, 4)) == 1
+        assert compare(Order.NEGDEGLEX, (0, 0, 0, 0), tuple(1 if j == i - 1 else 0 for j in range(4))) == 1
 
 
 def test_constant_is_maximum_under_negdeglex():
@@ -90,14 +90,6 @@ def test_length_mismatch_rejected():
             encode((1,))
         with pytest.raises(ValueError):
             encode((1, 0, 0))
-
-
-def test_variable_and_one():
-    assert variable(2, 4) == (0, 1, 0, 0)
-    with pytest.raises(ValueError):
-        variable(5, 4)
-    with pytest.raises(ValueError):
-        variable(0, 4)
 
 
 @pytest.mark.parametrize("order", ALL_ORDERS)
@@ -137,3 +129,24 @@ def test_compatible_with_multiplication(order):
         shifted = a + gamma, b + gamma
         assert (key(shifted[0]) > key(shifted[1])) == (key(a) > key(b))
         assert (shifted[0] == shifted[1]) == (a == b)
+
+
+@pytest.mark.parametrize("order", ALL_ORDERS)
+@pytest.mark.parametrize("p", [3, 16411, 2147483647])  # 16-, 32- and 64-bit fields
+def test_field_mask_covers_exactly_the_fields_of_its_variables(order, p):
+    for n in (1, 2, 3, 5):
+        ring, encode = words(order, n, p)
+        width = ring.width
+        fields = []  # a per-field reference: the field under the lowest bit of X_(i+1)'s exponent
+        for i in range(n):
+            low = (encode(tuple(int(j == i) for j in range(n))) & ring.fields).bit_length() - 1
+            assert low % width == 0
+            fields.append(((1 << width) - 1) << low)
+        for lo in range(n + 1):
+            assert ring.field_mask(lo, lo) == 0
+            for hi in range(lo, n + 1):
+                assert ring.field_mask(lo, hi) == sum(fields[lo:hi])
+        assert ring.field_mask(0, n) == ring.fields
+        word = encode(tuple(range(n)))
+        for i in range(n):
+            assert bool(word & ring.field_mask(i, i + 1)) == bool(i)

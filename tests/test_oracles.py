@@ -9,7 +9,8 @@ local order at the translated origin as under a global order. Mora
 certificates u*f = sum(a_i f_i) + h are re-checked in sympy's F_p
 polynomials, with the local order's comparison written out here. Membership
 in the translated ideal I is decided without any standard basis: R/I is the
-group algebra F_p[F_p^(n-k)] of the syndromes, where X_i is [s_i] - 1.
+group algebra F_p[F_p^(n-k)] of the syndromes, where X_i is [s_i] - 1; the
+CLI's Mora bases and local normal forms are checked there, read back from stdout.
 """
 
 import random
@@ -19,6 +20,7 @@ import pytest
 import sympy
 
 from codegb.buchberger import groebner, reduce_basis
+from codegb.cli import main
 from codegb.codes import (
     closed_form_basis,
     lex_code_basis,
@@ -28,9 +30,17 @@ from codegb.codes import (
 )
 from codegb.monomials import Order
 from codegb.mora import standard_basis, weak_normal_form
+from codegb.parsing import parse_poly, print_poly
 from codegb.poly import Ring, s_polynomial
 
-from helpers import EXAMPLE_MATRIX, exponent_terms, random_code, random_nonzero_poly, ref_divides
+from helpers import (
+    EXAMPLE_MATRIX,
+    exponent_terms,
+    random_code,
+    random_nonzero_poly,
+    random_poly,
+    ref_divides,
+)
 from test_golden_reduction import GOLDEN_CERTIFICATE, local_instance
 
 SYMPY_ORDER = {Order.LEX: "lex", Order.DEGLEX: "grlex", Order.DEGREVLEX: "grevlex"}
@@ -256,3 +266,40 @@ def test_syndrome_oracle_decides_membership_in_the_translated_ideal():
             assert weak_normal_form(closed[j], closed[:j] + closed[j + 1 :]).normal_form, (G, j)
             elements += 1
     assert (elements, certificates) == (143, 156)
+
+
+def cli_lines(capsys, *argv):
+    assert main(list(argv)) == 0
+    return capsys.readouterr().out.splitlines()
+
+
+def test_syndrome_oracle_checks_cli_mora_bases_and_normal_forms(tmp_path, capsys):
+    rng = random.Random("syndrome-cli")
+    codes = []
+    while len(codes) < 16:
+        G = random_code(rng, ps=(2, 3, 5, 7))
+        if 9 <= G.p ** (G.n - G.k) <= 243 and G not in codes:  # room for non-members
+            codes.append(G)
+    matrix, basis_file = tmp_path / "matrix.txt", tmp_path / "basis.txt"
+    elements = zero_forms = 0
+    for G in codes:
+        ring = Ring(G.p, G.n, Order.NEGDEGLEX)
+        rows = "".join(" ".join(map(str, row)) + "\n" for row in G.rows)
+        matrix.write_text(f"p={G.p}\nk={G.k} n={G.n}\n{rows}")
+        for line in cli_lines(capsys, "standard-basis", str(matrix), "--method", "mora"):
+            assert syndrome_image(parse_poly(line, ring), G) == {}, (G, line)
+            elements += 1
+        closed = cli_lines(capsys, "standard-basis", str(matrix))
+        basis_file.write_text(f"p={G.p} n={G.n}\n" + "".join(f"{line}\n" for line in closed))
+        closed = [parse_poly(line, ring) for line in closed]
+        for trial in range(6):
+            if trial % 2:  # a member: a combination of the closed form
+                f = sum((random_poly(ring, rng, max_terms=3, max_deg=2) * g for g in closed), ring.zero())
+            else:
+                f = random_poly(ring, rng, max_terms=4, max_deg=3)
+            nf, unit = cli_lines(capsys, "nf", print_poly(f), str(basis_file), "--order", "negdeglex")
+            h, u = parse_poly(nf.removeprefix("NF: "), ring), parse_poly(unit.removeprefix("unit: "), ring)
+            assert syndrome_image(u * f - h, G) == {}, (G, str(f))
+            assert (not h) == (syndrome_image(f, G) == {}), (G, str(f))
+            zero_forms += not h
+    assert (elements, zero_forms) == (77, 63)  # 48 of the 96 are built as members

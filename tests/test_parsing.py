@@ -1,6 +1,7 @@
 """Polynomial text syntax: parsing, canonical printing, round trips."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -197,6 +198,56 @@ def test_unicode_subscripts_rejected(ring):
         parse_poly("X₁", ring)  # ASCII only
     with pytest.raises(ParseError):
         parse_poly("X1²", ring)
+
+
+@pytest.mark.parametrize("order", list(Order), ids=lambda order: order.value)
+@pytest.mark.parametrize("p", [3, 16411, 2147483647])  # 16-, 32- and 64-bit fields
+def test_a_repeated_variable_is_refused_where_its_field_would_pass_the_bound(order, p):
+    # the top, a middle and the bottom field of either layout, next to the degree or not
+    ring = Ring(p, 3, order)
+    bound = ring.bound
+    half = bound // 2 + 1
+    for index in (1, 2, 3):
+        x = f"X{index}"
+        unit = tuple(int(j == index - 1) for j in range(3))
+        at_bound = tuple(bound * e for e in unit)
+        accepted = [
+            (f"{x}^{half}{x}^{bound - half}", ring.term(1, at_bound)),
+            (f"{x}^{bound}{x}^0+{x}", ring.poly([(1, at_bound), (1, unit)])),
+            (f"2{x}^{bound - 1}*{x}", ring.term(2, at_bound)),
+        ]
+        for text, expected in accepted:
+            assert parse_poly(text, ring) == expected, text
+        refused = [
+            (f"{x}^{half}{x}^{bound + 1 - half}", f"{x}^{bound + 1 - half}", 3),  # one past the bound
+            (f"X1X2X3+{x}^{bound}{x}", f"{x}", 0),  # no '^': at the variable itself
+            (f"{x}^{bound}\n {x}^{bound}", f"{x}^{bound}", 3),  # twice the bound
+            (f"{x}^{bound}*{x}^1+X1", f"{x}^1", 3),
+            (f"{x}^{bound + 1}", f"{x}^{bound + 1}", 3),  # one exponent above the bound
+            (f"{x}^{bound}{x}^{10 ** 40}", f"{x}^{10 ** 40}", 3),
+        ]
+        for text, tail, offset in refused:
+            start = text.rindex(tail) + offset  # 0-based: the exponent, or X when there is no '^'
+            line = text.count("\n", 0, start) + 1
+            col = start - (text.rfind("\n", 0, start) + 1) + 1
+            with pytest.raises(ParseError) as err:
+                parse_poly(text, ring)
+            message = f"exponent of X{index} exceeds {bound}, the largest exponent of this ring"
+            assert (err.value.message, err.value.line, err.value.col) == (message, line, col), text
+
+
+def test_parsing_builds_no_exponent_tuple_per_term():
+    # 401 terms in 65 536 variables: a list and a tuple of n exponents per term took about 200 MiB
+    ring = Ring(3, 65536, Order.NEGDEGLEX)
+    text = "+".join(["X65536"] * 401)
+    tracemalloc.start()
+    try:
+        f = parse_poly(text, ring)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f == ring.constant(401) * ring.variable(65536)
+    assert peak < 8 * 2**20
 
 
 def test_parse_error_position():

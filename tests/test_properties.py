@@ -4,8 +4,14 @@ The packed monomial words are checked against the tuple reference in
 helpers, in all four orders and at all three field widths, up to the top of
 the exponent range; merged add/sub, products and the TermAccumulator
 against Ring.poly, the normalizing constructor, as the reference; division
-and Mora reduction against their contracts.
+and Mora reduction against their contracts. Last, a failing property run
+under the project's pytest configuration must still report its counterexample.
 """
+
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -81,7 +87,7 @@ def test_monomial_ops_are_componentwise(args):
     assert ring.heap_key(wa) == -ring.key(wa)
     assert ring.degree(wa) == ref_degree(a)
     for i in range(1, ring.n + 1):
-        assert ring.variable_word(i) == ring.encode(monomials.variable(i, ring.n))
+        assert ring.variable_word(i) == ring.encode(tuple(1 if j == i - 1 else 0 for j in range(ring.n)))
     assert monomials.lcm(wa, wb, ring) == ring.encode(ref_lcm(a, b))
     assert monomials.coprime(wa, wb, ring) == (not any(x and y for x, y in zip(a, b)))
     assert monomials.divides(wa, wb, guards) == ref_divides(a, b)
@@ -374,3 +380,35 @@ def test_mora_certificate_identity(args):
     if result.normal_form:
         lm = result.normal_form.leading_monomial
         assert not any(divides(g.leading_monomial, lm, f.ring.guards) for g in divisors)
+
+
+PROBE = """
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+
+@settings(derandomize=True, database=None)
+@given(st.integers(0, 10))
+def test_fails(x):
+    assert x < 5
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_property_reports_its_counterexample_under_the_project_config(tmp_path):
+    # under filterwarnings = error, a DeprecationWarning that Hypothesis raises while it
+    # builds a failure report once stopped the whole run, with no counterexample shown
+    probe = tmp_path / "test_probe.py"
+    probe.write_text(PROBE)
+    config = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(config), "-p", "no:cacheprovider", str(probe)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 1, run.stdout + run.stderr
+    report = re.sub(r"\nE\s+", " ", run.stdout)  # one line of what pytest prints behind "E"
+    assert "Falsifying example: test_fails( x=5, )" in report, run.stdout
+    assert "1 failed, 1 passed" in run.stdout

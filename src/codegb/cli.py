@@ -67,9 +67,12 @@ def _load_basis_file(text: str, order: Order):
     basis = []
     for line, col, poly_text in body:
         try:
-            basis.append(parse_poly(poly_text, ring))
+            f = parse_poly(poly_text, ring)
         except ParseError as exc:
             raise ParseError(exc.message, line, col + exc.col - 1) from None
+        if f.is_zero:
+            raise ParseError("basis polynomial is zero; divisors must be nonzero", line, col)
+        basis.append(f)
     return ring, basis
 
 
@@ -186,9 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument(
         "--inject-drop",
         type=int,
-        nargs="?",
-        const=0,
-        default=None,
         metavar="IDX",
         help="drop one closed-form element first (negative control)",
     )

@@ -7,10 +7,10 @@ well-order on monomials, so the loop always terminates.
 
 The dividend being reduced lives in a poly.TermAccumulator, not in a
 Polynomial, so a step costs O(|g| log |h|) for a divisor g and the current
-dividend h. Monomials are the ring's packed words (see monomials), so the
-divisibility test and the quotient are one subtraction and one mask each.
-Leading monomials strictly decrease from step to step, so the quotient
-and remainder terms come out already sorted and distinct.
+dividend h. Monomials are the ring's packed words (see monomials): divides
+is one subtraction and one mask, and the quotient lm - glm it admits is one
+subtraction. Leading monomials strictly decrease from step to step, so the
+quotient and remainder terms come out already sorted and distinct.
 
 A call's fixed cost is one pass over the divisors: poly.check_divisors (a
 ring identity test, equal but distinct rings still passing, and a zero
@@ -68,7 +68,7 @@ def divide(
             if divides(glm, lm, guards):
                 g = divisors[idx]
                 qc = lc * inv(g.terms[0][0]) % p
-                qm = monomials.quotient(lm, glm, guards)
+                qm = lm - glm
                 quotient_terms.setdefault(idx, []).append((qc, qm))
                 h.add_multiple(-qc, qm, g)
                 if trace:

@@ -147,14 +147,6 @@ def divides(a: int, b: int, guards: int) -> bool:
     return not (b - a) & guards
 
 
-def quotient(b: int, a: int, guards: int) -> int:
-    """b / a for a divisor a of b."""
-    q = b - a
-    if q & guards:
-        raise ValueError("the monomial does not divide")
-    return q
-
-
 def lcm(a: int, b: int, encoding: Encoding) -> int:
     """The least common multiple of two monomials: the larger exponent of every field.
 

@@ -145,7 +145,7 @@ def weak_normal_form(
     divisors = check_divisors(f, divisors)
 
     p, guards = ring.p, ring.guards
-    divides, quotient, inv = monomials.divides, monomials.quotient, ring.field.inv
+    divides, inv = monomials.divides, ring.field.inv
     one = monomials.ONE
     # h = cert[0]*f - sum(cert[i+1]*f_i), so cert[0] is u and cert[i+1] is a_i
     cert: list[dict] = [{one: 1}] + [{} for _ in divisors]
@@ -178,7 +178,7 @@ def weak_normal_form(
                 if trace:
                     trace(f"record intermediate {snapshot!s} (ecart {h_ecart} < {g.ecart})")
         qc = lc * inv(g.lc) % p
-        qm = quotient(lm, g.lm, guards)
+        qm = lm - g.lm
         if trace:
             trace(f"reduce {Polynomial(ring, ((lc, lm),))!s} by {g.poly!s}")
         # Only a recorded g carries position 0, and then q has monomial < 1
@@ -186,7 +186,7 @@ def weak_normal_form(
         if g.position is None:
             for j, t in g.cert.items():
                 add_product(cert[j], ((-qc, qm),), t, ring)
-        else:  # a fresh key of a_j, which passed quotient's guard test
+        else:  # a fresh key of a_j, a word since g.lm passed divides
             cert[g.position][qm] = qc
         if g.single:  # q*g is exactly h's leading term
             h.drop_leading(lm)

@@ -55,12 +55,11 @@ from __future__ import annotations
 
 import re
 import sys
-from functools import reduce
 from itertools import compress
-from operator import getitem, itemgetter, or_
+from operator import getitem
 
 from .monomials import ONE
-from .poly import Polynomial, Ring
+from .poly import Polynomial, Ring, support
 
 
 class ParseError(ValueError):
@@ -222,9 +221,8 @@ def print_poly(f: Polynomial) -> str:
     terms = f.terms
     n = f.ring.n
     if len(terms) <= 8 * n:
-        # a field of the OR of the words is nonzero iff its variable occurs in some term
         exponents = f.ring.exponents
-        occurs = exponents(reduce(or_, map(itemgetter(1), terms)))
+        occurs = exponents(support(terms))
         powers = [_Powers(f"X{i}") for i in compress(range(1, n + 1), occurs)]
         parts = []
         for coeff, word in terms:

@@ -242,7 +242,7 @@ class Polynomial:
             a, b, other = b, a, self
         if len(a) == 1:  # other holds b
             return other.mul_term(*a[0])
-        if monomials.coprime(_support(a), _support(b), ring):
+        if monomials.coprime(support(a), support(b), ring):
             # each field of a product word comes from one factor, so no word
             # overflows and no two coincide; one sorted run per term of a
             p = ring.p
@@ -319,7 +319,7 @@ class Polynomial:
         return f"Polynomial({self!s})"
 
 
-def _support(terms: Iterable[Term]) -> int:
+def support(terms: Iterable[Term]) -> int:
     """The OR of the words: a field is nonzero iff its variable occurs in a term."""
     support = 0
     for _, m in terms:
@@ -446,7 +446,6 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     ring = f.ring
     (fc, fm), (gc, gm) = f.terms[0], g.terms[0]
     gamma = monomials.lcm(fm, gm, ring)
-    inv, guards = ring.field.inv, ring.guards
-    fq = monomials.quotient(gamma, fm, guards)
-    gq = monomials.quotient(gamma, gm, guards)
-    return f.mul_term(inv(fc), fq)._merge(g.mul_term(-inv(gc), gq))
+    inv = ring.field.inv
+    # every field of the lcm is at least fm's and gm's, so both differences are words
+    return f.mul_term(inv(fc), gamma - fm)._merge(g.mul_term(-inv(gc), gamma - gm))

@@ -4,10 +4,11 @@ for the packed monomials, shared across the tests."""
 from __future__ import annotations
 
 import sys
+from itertools import product
 from operator import add, le, sub
 
 from codegb import ecart, monomials
-from codegb.codes import random_matrix
+from codegb.codes import GeneratorMatrix, random_matrix
 from codegb.monomials import Order
 from codegb.poly import Polynomial, Ring
 
@@ -81,6 +82,16 @@ def random_code(rng, ps=(2, 3, 5), max_k=3, max_n=6):
     k = rng.randint(1, max_k)
     n = rng.randint(k, max_n)
     return random_matrix(rng, p, k, n)
+
+
+def standard_form_matrices(p: int, n: int):
+    """Every k x n matrix (I_k | M) over F_p with 1 <= k <= n, once each."""
+    for k in range(1, n + 1):
+        width = n - k
+        identity = [tuple(1 if c == r else 0 for c in range(k)) for r in range(k)]
+        for entries in product(range(p), repeat=k * width):
+            rows = tuple(identity[r] + entries[r * width : (r + 1) * width] for r in range(k))
+            yield GeneratorMatrix(p, k, n, rows)
 
 
 def random_codeword(rng, G):
@@ -187,7 +198,7 @@ def reduce_step(f: Polynomial, g: Polynomial) -> Polynomial:
     if not monomials.divides(g.leading_monomial, f.leading_monomial, guards):
         raise ValueError(f"lm of {g!s} does not divide lm of {f!s}")
     qc = f.leading_coefficient * f.ring.field.inv(g.leading_coefficient)
-    qm = monomials.quotient(f.leading_monomial, g.leading_monomial, guards)
+    qm = f.leading_monomial - g.leading_monomial
     return f - g.mul_term(qc, qm)
 
 

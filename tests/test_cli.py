@@ -110,7 +110,7 @@ CLI_SURFACE = {
     },
     "verify": {
         "matrix": ((), None, None, "?"),
-        "inject_drop": (("--inject-drop",), None, None, "?"),
+        "inject_drop": (("--inject-drop",), None, None, None),
         "random": (("--random",), None, None, None),
         "seed": (("--seed",), None, None, None),
     },
@@ -224,6 +224,14 @@ def test_verify_inject_drop(capsys, matrix_file):
     code, out, _ = run(capsys, "verify", matrix_file, "--inject-drop", "3")
     assert code == 1
     assert "FAIL" in out and "detail:" in out
+
+
+def test_verify_inject_drop_needs_an_index(capsys, matrix_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", matrix_file, "--inject-drop"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.endswith("error: argument --inject-drop: expected one argument\n")
 
 
 def test_verify_random(capsys):
@@ -489,6 +497,16 @@ def test_basis_file_errors_name_the_file_line_and_column(capsys, tmp_path):
     code, out, err = run(capsys, "nf", "X1", str(basis))
     assert (code, out) == (2, "")
     assert err == "error: 'utf-8' codec can't decode byte 0xff in position 8: invalid start byte\n"
+
+
+@pytest.mark.parametrize("order", ["lex", "negdeglex"])
+def test_a_zero_basis_polynomial_is_refused_at_its_file_position(capsys, tmp_path, order):
+    basis = tmp_path / "basis.txt"
+    for line, col in [("0", 1), ("  X1-X1", 3), ("\t3  # 3 is 0 mod 3", 2)]:
+        basis.write_text(f"p=3 n=2\nX1+X2\n{line}\n", encoding="utf-8")
+        code, out, err = run(capsys, "nf", "X1", str(basis), "--order", order)
+        message = f"line 3 col {col}: basis polynomial is zero; divisors must be nonzero"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_nf_huge_prime_modulus_is_fast(capsys, tmp_path):

@@ -37,6 +37,7 @@ from helpers import (
     count_calls,
     random_code,
     random_codeword,
+    standard_form_matrices,
     wrap_everywhere,
 )
 
@@ -304,6 +305,30 @@ def test_verify_negative_control(G):
     assert report.detail
     with pytest.raises(ValueError):
         verify_closed_form(G, drop_index=10)
+
+
+# the exhaustively verified class: p = 2 with n <= 5, p = 3 with n <= 4, p = 5 with n <= 3
+SWEPT = [(p, n) for p, top in ((2, 5), (3, 4), (5, 3)) for n in range(1, top + 1)]
+
+
+@pytest.mark.parametrize("p, n", SWEPT)
+def test_every_small_standard_form_code_passes_all_three_checks(p, n):
+    # 425 codes over the twelve (p, n), about 0.3 s in all
+    matrices = list(standard_form_matrices(p, n))
+    assert len(set(matrices)) == len(matrices) == sum(p ** (k * (n - k)) for k in range(1, n + 1))
+    for G in matrices:
+        report = verify_closed_form(G)
+        assert report.ok, (G, report.detail)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_dropping_any_closed_form_element_of_a_small_binary_code_is_named(n):
+    # 970 drops over the 206 binary codes with 2 <= n <= 5, about 0.25 s in all
+    for G in standard_form_matrices(2, n):
+        for index, f in enumerate(closed_form_basis(G)):
+            report = verify_closed_form(G, drop_index=index)
+            assert not report.generators_match, (G, index)
+            assert report.detail == f"closed form missing element {f}", (G, index)
 
 
 def test_generator_matrix_direct_validation():

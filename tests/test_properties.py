@@ -92,15 +92,12 @@ def test_monomial_ops_are_componentwise(args):
     assert monomials.coprime(wa, wb, ring) == (not any(x and y for x, y in zip(a, b)))
     assert monomials.divides(wa, wb, guards) == ref_divides(a, b)
     if ref_divides(a, b):
-        assert monomials.quotient(wb, wa, guards) == ring.encode(ref_quotient(b, a))
-    else:
-        with pytest.raises(ValueError):
-            monomials.quotient(wb, wa, guards)
+        assert wb - wa == ring.encode(ref_quotient(b, a))
     product = ref_mul(a, b)
     if max(product) <= ring.bound:
         assert wa + wb == ring.encode(product)
         assert ring.term(1, a).mul_term(1, wb).leading_monomial == wa + wb
-        assert monomials.quotient(wa + wb, wa, guards) == wb
+        assert monomials.divides(wa, wa + wb, guards)
     else:
         with pytest.raises(ValueError, match=f"above {ring.bound}"):
             monomials.check(wa + wb, guards)

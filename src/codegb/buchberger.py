@@ -1,4 +1,4 @@
-"""Buchberger's algorithm and basis post-processing under global orders.
+"""Buchberger's algorithm under global orders; complete() and minimalize() under both kinds.
 
 complete() is the package's one pair-completion loop: groebner runs it with
 division, mora.standard_basis with weak normal forms. Its heap pops the pair
@@ -22,12 +22,12 @@ def product_criterion(f: Polynomial, g: Polynomial) -> bool:
     """True when lcm(lm f, lm g) = lm(f)*lm(g); such pairs need no reduction."""
     if not f.terms or not g.terms:
         raise ValueError("product criterion needs nonzero polynomials")
-    if g.ring is not f.ring:  # equal but distinct rings pass
-        f._check_ring(g)
+    f._check_ring(g)
     return monomials.coprime(f.terms[0][1], g.terms[0][1], f.ring)
 
 
 def _prepare(gens: Iterable[Polynomial]) -> list[Polynomial]:
+    """The nonzero generators, checked to share one ring, each made monic."""
     basis = [g for g in gens if g]
     for g in basis:
         basis[0]._check_ring(g)
@@ -102,18 +102,15 @@ def minimalize(basis: Sequence[Polynomial]) -> list[Polynomial]:
     is monic and sorted descending by leading monomial.
     """
     kept: list[Polynomial] = []
-    candidates = [g for g in basis if g]
+    candidates = _prepare(basis)
     if not candidates:
         return []
     ring = candidates[0].ring
-    for g in candidates:
-        if g.ring is not ring:
-            candidates[0]._check_ring(g)
     candidates.sort(key=lambda g: (ring.degree(g.leading_monomial), ring.key(g.leading_monomial)))
     for g in candidates:
         lm = g.leading_monomial
         if not any(monomials.divides(k.leading_monomial, lm, ring.guards) for k in kept):
-            kept.append(g.monic())
+            kept.append(g)
     kept.sort(key=lambda g: ring.key(g.leading_monomial), reverse=True)
     return kept
 

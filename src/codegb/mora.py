@@ -137,6 +137,8 @@ def weak_normal_form(
     reductions and raises ValueError beyond it instead of an open-ended run.
     The certificate is verified before returning (CertificateError if not).
     """
+    if max_steps is not None and max_steps < 0:
+        raise ValueError(f"max_steps must be non-negative, got {max_steps}")
     ring = f.ring
     if not ring.order.is_local:
         raise ValueError(

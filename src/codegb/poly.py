@@ -170,7 +170,7 @@ class Polynomial:
         return self.leading_term[1]
 
     def _check_ring(self, other: Polynomial) -> None:
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError(f"mixed polynomial contexts: {self.ring} vs {other.ring}")
 
     def _merge(self, other: Polynomial) -> Polynomial:
@@ -423,6 +423,8 @@ def check_divisors(f: Polynomial, divisors: Iterable[Polynomial]) -> list[Polyno
     """The divisors as a list, each checked to share f's ring and to be nonzero.
 
     The ring is tested by identity first; equal but distinct rings still pass.
+    The test stays inline: a _check_ring call per divisor per division read
+    groebner's items_per_s at 0.97x.
     """
     ring = f.ring
     divisors = list(divisors)

@@ -3,11 +3,15 @@ for the packed monomials, shared across the tests."""
 
 from __future__ import annotations
 
+import contextlib
+import io
+import os
 import sys
 from itertools import product
 from operator import add, le, sub
+from unittest import mock
 
-from codegb import ecart, monomials
+from codegb import cli, ecart, monomials
 from codegb.codes import GeneratorMatrix, random_matrix
 from codegb.monomials import Order
 from codegb.poly import Polynomial, Ring
@@ -255,3 +259,31 @@ def count_calls(monkeypatch, *targets) -> dict[str, int]:
 
         wrap_everywhere(monkeypatch, module, attr, make_wrapper)
     return counts
+
+
+def replay_cli(argv, files, columns, workdir):
+    """Run cli.main(argv) in-process in workdir, with the input files written there
+    and COLUMNS set (argparse wraps its usage lines to it); (exit, stdout, stderr).
+
+    The CLI transcript corpus (tests/cli_corpus, written by tools/cli_corpus.py)
+    is recorded and replayed through this one function.
+    """
+    for name, text in files.items():
+        with open(os.path.join(workdir, name), "w", encoding="utf-8", newline="") as file:
+            file.write(text)
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with (
+            mock.patch.dict(os.environ, COLUMNS=str(columns)),
+            contextlib.redirect_stdout(out),
+            contextlib.redirect_stderr(err),
+        ):
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:  # argparse's errors and --help
+                code = exc.code
+    finally:
+        os.chdir(cwd)
+    return code, out.getvalue(), err.getvalue()

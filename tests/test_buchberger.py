@@ -137,6 +137,8 @@ def test_minimalize_under_both_order_kinds():
     f = lex.variable(1)
     g = parse_poly("X1X2", lex)
     assert minimalize([g, f]) == [f]
+    # the zero is dropped and the kept element is made monic
+    assert minimalize([lex.zero(), f * 2, g]) == [f]
 
     local = Ring(3, 2, Order.NEGDEGLEX)
     f2 = local.variable(1)

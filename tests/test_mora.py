@@ -134,6 +134,10 @@ def test_max_steps_counts_reductions_only():
     assert result.normal_form == parse_poly("X2", ring)
     with pytest.raises(ValueError, match="exceeded 0 "):
         weak_normal_form(f, [g], max_steps=0)
+    # a negative budget is refused before any step, whether f reduces or not
+    for h in (parse_poly("X2", ring), g):
+        with pytest.raises(ValueError, match="^max_steps must be non-negative, got -1$"):
+            weak_normal_form(h, [g], max_steps=-1)
 
 
 def test_certificate_check_survives_optimize_flag():

@@ -11,7 +11,7 @@ reduce to zero.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 from . import monomials
 from .division import divide

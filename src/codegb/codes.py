@@ -12,7 +12,7 @@ than MAX_CLOSED_FORM_TERMS terms is refused with ValueError, unbuilt.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import monomials
 from .gfp import is_prime
@@ -35,38 +35,40 @@ class MatrixFormatError(ValueError):
     """Malformed matrix text or a matrix that is not in standard form."""
 
 
-@dataclass(frozen=True)
-class GeneratorMatrix:
-    """k x n generator matrix over F_p in standard form (I_k | M)."""
+class GeneratorMatrix(namedtuple("GeneratorMatrix", "p k n rows")):
+    """k x n generator matrix over F_p in standard form (I_k | M).
 
-    p: int
-    k: int
-    n: int
-    rows: tuple[tuple[int, ...], ...]
+    p, k and n are ints; rows is a tuple of k tuples of n ints in [0, p).
+    """
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise MatrixFormatError(f"p={self.p} is not prime")
-        if not 1 <= self.k <= self.n:
-            raise MatrixFormatError(f"need 1 <= k <= n, got k={self.k} n={self.n}")
-        if len(self.rows) != self.k:
-            raise MatrixFormatError(f"expected {self.k} rows, got {len(self.rows)}")
-        for r, row in enumerate(self.rows, start=1):
-            if len(row) != self.n:
-                raise MatrixFormatError(f"row {r} has {len(row)} entries, expected {self.n}")
+    __slots__ = ()
+
+    def __new__(cls, p: int, k: int, n: int, rows: tuple[tuple[int, ...], ...]):
+        if not is_prime(p):
+            raise MatrixFormatError(f"p={p} is not prime")
+        if not 1 <= k <= n:
+            raise MatrixFormatError(f"need 1 <= k <= n, got k={k} n={n}")
+        if len(rows) != k:
+            raise MatrixFormatError(f"expected {k} rows, got {len(rows)}")
+        for r, row in enumerate(rows, start=1):
+            if len(row) != n:
+                raise MatrixFormatError(f"row {r} has {len(row)} entries, expected {n}")
             for c, entry in enumerate(row, start=1):
-                if not 0 <= entry < self.p:
-                    raise MatrixFormatError(
-                        f"entry {entry} at row {r} col {c} is outside [0, {self.p})"
-                    )
-        for r in range(self.k):
-            for c in range(self.k):
+                if not 0 <= entry < p:
+                    raise MatrixFormatError(f"entry {entry} at row {r} col {c} is outside [0, {p})")
+        for r in range(k):
+            for c in range(k):
                 expected = 1 if r == c else 0
-                if self.rows[r][c] != expected:
+                if rows[r][c] != expected:
                     raise MatrixFormatError(
                         f"not in standard form: row {r + 1} col {c + 1} is "
-                        f"{self.rows[r][c]}, expected {expected}"
+                        f"{rows[r][c]}, expected {expected}"
                     )
+        return super().__new__(cls, p, k, n, rows)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks as well
+        return cls(*iterable)
 
 
 def parse_matrix(text: str) -> GeneratorMatrix:
@@ -203,14 +205,20 @@ def closed_form_basis(G: GeneratorMatrix) -> list[Polynomial]:
     return out
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """Three independent checks of the closed-form standard basis."""
+class VerificationReport(
+    namedtuple(
+        "VerificationReport",
+        "generators_match standard_basis_ok leading_terms_ok detail",
+        defaults=("",),
+    )
+):
+    """Three independent checks of the closed-form standard basis.
 
-    generators_match: bool
-    standard_basis_ok: bool
-    leading_terms_ok: bool
-    detail: str = ""
+    The three checks are bools; detail is a str naming the first failure,
+    empty by default.
+    """
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -22,19 +22,20 @@ steps by some twenty divisors, that set-up is most of a call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from collections import namedtuple
+from collections.abc import Callable, Sequence
 
 from . import monomials
 from .poly import Polynomial, TermAccumulator, check_divisors
 
 
-@dataclass(frozen=True)
-class DivisionResult:
-    """f = sum(quotients[i] * divisors[i]) + remainder, exactly."""
+class DivisionResult(namedtuple("DivisionResult", "quotients remainder")):
+    """f = sum(quotients[i] * divisors[i]) + remainder, exactly.
 
-    quotients: tuple[Polynomial, ...]
-    remainder: Polynomial
+    quotients is a tuple of Polynomials, one per divisor; remainder is a Polynomial.
+    """
+
+    __slots__ = ()
 
 
 def divide(

@@ -10,7 +10,7 @@ row costs O(c).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 # No composite below _BOUND is a strong probable prime to all of the prime
@@ -38,21 +38,28 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeField:
-    """Ambient context for exact arithmetic mod a prime p."""
+class PrimeField(namedtuple("PrimeField", "p")):
+    """Ambient context for exact arithmetic mod a prime p (an int)."""
 
-    p: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
+    def __new__(cls, p: int):
+        if not is_prime(p):
+            raise ValueError(f"modulus {p} is not prime")
+        return super().__new__(cls, p)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks as well
+        return cls(*iterable)
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse of a nonzero residue."""
-        if a % self.p == 0:
-            raise ZeroDivisionError(f"0 has no inverse in F_{self.p}")
-        return pow(a, self.p - 2, self.p)
+        # one field read: CPython does not specialize named-tuple field reads,
+        # and inv runs once per reduction step
+        p = self.p
+        if a % p == 0:
+            raise ZeroDivisionError(f"0 has no inverse in F_{p}")
+        return pow(a, p - 2, p)
 
     def binom(self, c: int) -> list[int]:
         """The binomial row [C(c, 0), ..., C(c, c)] mod p, for 0 <= c < p.

@@ -49,34 +49,37 @@ a pure power X_j^p, is one mul_term pass (see poly).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Sequence
 
 from . import monomials
 from .buchberger import _prepare, complete, minimalize
 from .poly import Polynomial, TermAccumulator, add_product, check_divisors, s_polynomial
 
 
-@dataclass(frozen=True)
-class WeakNormalForm:
-    """Result of Mora reduction: u*f = sum(coefficients[i]*divisors[i]) + normal_form."""
+class WeakNormalForm(namedtuple("WeakNormalForm", "normal_form unit coefficients recorded")):
+    """Result of Mora reduction: u*f = sum(coefficients[i]*divisors[i]) + normal_form.
 
-    normal_form: Polynomial
-    unit: Polynomial
-    coefficients: tuple[Polynomial, ...]
-    recorded: int  # intermediates added to the reducer list by the ecart rule
+    normal_form and unit are Polynomials, coefficients a tuple of Polynomials,
+    one per divisor, and recorded an int: the intermediates that the ecart
+    rule added to the reducer list.
+    """
+
+    __slots__ = ()
 
 
 class CertificateError(ArithmeticError):
     """A weak normal form's certificate u*f = sum(a_i f_i) + h, lt(u) = 1 does not hold."""
 
 
-@dataclass(frozen=True)
-class BasisCheck:
-    """Outcome of a standard-basis verification, with the first failure named."""
+class BasisCheck(namedtuple("BasisCheck", "ok detail", defaults=("",))):
+    """Outcome of a standard-basis verification, with the first failure named.
 
-    ok: bool
-    detail: str = ""
+    ok is a bool and detail a str, empty by default. The truth value is ok's:
+    as a tuple of two fields, a failed check would otherwise be true.
+    """
+
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.ok

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from operator import itemgetter
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from . import monomials
 from .gfp import PrimeField

@@ -6,7 +6,6 @@ import re
 import subprocess
 import sys
 import textwrap
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -184,12 +183,11 @@ def test_certificate_check_rejects_each_corrupted_part():
     coefficients = list(result.coefficients)
     coefficients[1] = coefficients[1] + bump
     corrupted = {
-        "h": replace(result, normal_form=result.normal_form + bump),
-        "u": replace(result, unit=result.unit + bump),
-        "a_1": replace(result, coefficients=tuple(coefficients)),
+        "h": result._replace(normal_form=result.normal_form + bump),
+        "u": result._replace(unit=result.unit + bump),
+        "a_1": result._replace(coefficients=tuple(coefficients)),
         # scaling u, the a_i and h by 2 keeps the identity; only lt(u) = 1 breaks
-        "lt(u)": replace(
-            result,
+        "lt(u)": result._replace(
             normal_form=result.normal_form * 2,
             unit=result.unit * 2,
             coefficients=tuple(a * 2 for a in result.coefficients),
@@ -220,7 +218,7 @@ def test_certificate_check_rejects_corrupted_cofactors_of_a_one_term_run():
         coefficients = list(result.coefficients)
         coefficients[i] = coefficients[i] + bump
         with pytest.raises(CertificateError, match="identity"):
-            mora._check_certificate(f, divisors, replace(result, coefficients=tuple(coefficients)))
+            mora._check_certificate(f, divisors, result._replace(coefficients=tuple(coefficients)))
 
 
 def test_certificate_check_rejects_each_corrupted_part_of_a_unit_one_run():
@@ -236,15 +234,15 @@ def test_certificate_check_rejects_each_corrupted_part_of_a_unit_one_run():
 
     bump = ring.term(1, (2, 3))
     corrupted = [
-        replace(result, unit=result.unit + bump),
-        replace(result, unit=result.unit * 2),
-        replace(result, normal_form=result.normal_form + bump),
+        result._replace(unit=result.unit + bump),
+        result._replace(unit=result.unit * 2),
+        result._replace(normal_form=result.normal_form + bump),
     ]
     for i in range(len(divisors)):  # a cofactor given an extra term, and one scaled
         for change in (lambda a: a + bump, lambda a: a * 2):
             coefficients = list(result.coefficients)
             coefficients[i] = change(coefficients[i])
-            corrupted.append(replace(result, coefficients=tuple(coefficients)))
+            corrupted.append(result._replace(coefficients=tuple(coefficients)))
     for bad in corrupted:
         with pytest.raises(CertificateError, match="identity"):
             mora._check_certificate(f, divisors, bad)

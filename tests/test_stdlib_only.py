@@ -2,6 +2,7 @@
 
 import ast
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -29,3 +30,14 @@ def test_the_package_declares_no_dependencies():
     # read as text: tomllib is not in Python 3.10, which pyproject still allows
     pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     assert re.findall(r"^dependencies = .*$", pyproject, re.M) == ["dependencies = []"]
+
+
+def test_starting_the_cli_loads_no_dataclasses_inspect_or_typing():
+    # -S: a .pth file in site-packages may import typing before any codegb code runs
+    probe = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import codegb.cli; "
+        "print(' '.join(m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules))"
+    )
+    run = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "\n"

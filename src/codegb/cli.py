@@ -63,7 +63,10 @@ def _load_basis_file(text: str, order: Order):
         p, n = map(int, m.groups())
     except ValueError:  # more digits than int() converts
         raise ParseError(too_many_digits(max(m.groups(), key=len)), line, col) from None
-    ring = Ring(p, n, order)
+    try:
+        ring = Ring(p, n, order)
+    except ValueError as exc:  # p not prime or too large, n out of range
+        raise ParseError(str(exc), line, col) from None
     basis = []
     for line, col, poly_text in body:
         try:

@@ -32,9 +32,11 @@ poly.add_product.
 While the loop runs, h lives in a poly.TermAccumulator. A step costs the
 work it does: a one-term g (a pure power X_j^p of a closed form, a monomial
 divisor) cancels exactly h's leading term, which is dropped from h by the
-word the step has already read; a longer g costs O(|g| log |h|) through
-add_multiple. Either way the step makes one field inverse and the scan one
-divides per candidate. Monomials are the ring's packed words (see
+word the step has already read, one dict delete. The accumulator walks f's
+own sorted terms by an index and heaps only the words that steps create, so
+dropping one of f's terms costs O(1); a longer g costs O(|g| log |h|)
+through add_multiple. Either way the step makes one field inverse and the
+scan one divides per candidate. Monomials are the ring's packed words (see
 monomials). The ecart is this module's: a reducer's is read off its first
 and last words (see ecart), h's off its smallest word, which has the largest
 degree. Certificate entries are never read in leading-term order: h's are
@@ -158,8 +160,7 @@ def weak_normal_form(
     reducers = [_Reducer(g, i + 1) for i, g in enumerate(divisors)]
     steps = 0
 
-    while h:
-        lc, lm = h.leading_term()
+    for lc, lm in h.leading_terms():
         # the earliest matching reducer of least ecart; none is below 0
         g = None
         for r in reducers:

@@ -14,7 +14,10 @@ Ring.poly is the normalizing constructor for raw, unsorted terms (a dict
 merge plus one sort of the words). Sums and differences of Polynomials skip
 it: both operands are already sorted, so one linear merge of the two term
 sequences is enough. Reduction loops do not build a Polynomial per step at
-all; they keep the polynomial being reduced in a TermAccumulator.
+all; they keep the polynomial being reduced in a TermAccumulator, which
+walks the input's own sorted terms and heaps only the words that steps
+create: dropping the leading term, or passing to the next term of the
+input, costs O(1).
 
 A product f*g takes one of three paths, each paying only for what can
 happen in it:
@@ -46,7 +49,7 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from operator import itemgetter
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from . import monomials
 from .gfp import PrimeField
@@ -349,26 +352,32 @@ def add_product(acc: dict[int, int], a: Sequence[Term], b: Sequence[Term], ring:
 
 
 class TermAccumulator:
-    """A polynomial under reduction: a word -> coefficient dict plus a lazy heap.
+    """A polynomial under reduction: a word -> coefficient dict, its input's run and a lazy heap.
 
     Reduction loops read the leading term and add a term multiple c*q*g over
     and over; division.divide and mora.weak_normal_form keep the dividend h
     here (divide's quotients come out sorted and Mora's unit and cofactors
-    are never read in order, so those are plain lists and dicts). Here
-    add_multiple costs O(|g| log |h|) for the current sum h, where building
-    a new Polynomial would cost O(|h|) or more per step. The heap holds the
-    heap keys of the words, so its minimum is the largest monomial; words
-    whose coefficient cancelled stay in the heap until they surface and are
-    dropped there. to_poly() sorts once. It keeps no ecart; mora reads h's.
+    are never read in order, so those are plain lists and dicts). The words
+    h starts with stay in their descending run, a list that leading_terms()
+    walks by an index; the heap holds the heap keys of only the words that
+    add_multiple creates, a word that cancelled and comes back included, so
+    its minimum is the largest created monomial. The leading term is the
+    larger of the two heads. A word whose coefficient cancelled or was
+    dropped stays where it is until it surfaces at a head, and is skipped
+    there. So a drop is one dict delete, and passing to the next term of the
+    run costs O(1); add_multiple costs O(|g| log |h|) for the current sum h,
+    where building a new Polynomial would cost O(|h|) or more per step.
+    to_poly() sorts once. It keeps no ecart; mora reads h's.
     """
 
-    __slots__ = ("ring", "coeffs", "heap")
+    __slots__ = ("ring", "coeffs", "run", "heap")
 
     def __init__(self, ring: Ring, terms: Iterable[Term]):
-        """Start from a Polynomial's descending terms; their heap keys ascend, so form a heap."""
+        """Start from a Polynomial's descending terms, which form the run."""
         self.ring = ring
         self.coeffs: dict[int, int] = {m: c for c, m in terms}
-        self.heap = list(map(ring.heap_key, self.coeffs))
+        self.run = list(self.coeffs)
+        self.heap: list[int] = []
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -397,22 +406,36 @@ class TermAccumulator:
                     del coeffs[m]
         monomials.check(seen, ring.guards)
 
+    def leading_terms(self) -> Iterator[Term]:
+        """Yield the leading term (coefficient, word) until h is zero.
+
+        Each resume finds the leading term of h as it is then, so the caller
+        removes the yielded term before resuming, by drop_leading or by an
+        add_multiple that cancels it, as a reduction step does; a term left
+        in place is yielded again. The walk's run index lives in the
+        generator, so a second walk starts again at the run's top.
+        """
+        coeffs, run, heap, heap_key = self.coeffs, self.run, self.heap, self.ring.heap_key
+        i, end = 0, len(run)
+        while coeffs:
+            while i < end and run[i] not in coeffs:
+                i += 1
+            while heap and heap_key(heap[0]) not in coeffs:
+                heappop(heap)
+            # every word of coeffs is in run[i:] or in the heap; a tie is one word
+            if not heap or i < end and heap_key(run[i]) <= heap[0]:
+                m = run[i]
+            else:
+                m = heap_key(heap[0])
+            yield coeffs[m], m
+
     def leading_term(self) -> Term:
-        heap, coeffs, heap_key = self.heap, self.coeffs, self.ring.heap_key
-        while heap:
-            m = heap_key(heap[0])
-            c = coeffs.get(m)
-            if c:
-                return c, m
-            heappop(heap)
+        for term in self.leading_terms():
+            return term
         raise ValueError("the zero polynomial has no leading term")
 
     def drop_leading(self, m: int) -> None:
-        """Remove the leading term, whose word m leading_term() has just returned.
-
-        leading_term() leaves m's heap key on top of the heap, so this is one pop.
-        """
-        heappop(self.heap)
+        """Remove the leading term, whose word m the walk or leading_term() has just given."""
         del self.coeffs[m]
 
     def to_poly(self) -> Polynomial:

@@ -480,7 +480,7 @@ def test_basis_file_errors_name_the_file_line_and_column(capsys, tmp_path):
             "p=3 n=2\nX2\n  X1+X2^" + "9" * 4000 + "\n",
             "line 3 col 9: exponent of X2 exceeds 32767, the largest exponent of this ring",
         ),
-        ("p=3 n=0\n", "variable count must be at least 1"),
+        ("p=3 n=0\n", "line 1 col 1: variable count must be at least 1"),
     ]:
         basis.write_text(text, encoding="utf-8")
         code, out, err = run(capsys, "nf", "X1", str(basis))
@@ -581,7 +581,7 @@ def test_variable_count_is_at_most_65536(capsys, tmp_path):
     start = time.perf_counter()
     code, out, err = run(capsys, "nf", "X1", str(basis))
     assert time.perf_counter() - start < 0.1
-    assert (code, out, err) == (2, "", "error: variable count 65537 exceeds 65536\n")
+    assert (code, out, err) == (2, "", "error: line 1 col 1: variable count 65537 exceeds 65536\n")
 
 
 @pytest.mark.parametrize("text", [f"p={2**61 - 1}\nk=1 n=2\n1 1\n", "p=10007\nk=1 n=4\n1 1 1 1\n"])

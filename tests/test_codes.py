@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from codegb import codes, gfp, monomials, mora
+from codegb import codes, gfp, monomials, mora, poly
 from codegb.buchberger import groebner, reduce_basis
 from codegb.codes import (
     GeneratorMatrix,
@@ -392,3 +392,12 @@ def test_verifier_makes_a_pinned_number_of_weak_normal_forms_and_steps(monkeypat
     monkeypatch.setattr(gfp.PrimeField, "inv", count_inv)
     assert verify_closed_form(G).ok
     assert counts == {"calls": calls, "steps": steps}
+
+
+def test_verifying_a_verify_wide_code_pops_no_heap_entry(monkeypatch):
+    # A reduction walks its dividend's own sorted run and heaps only the words
+    # a step creates. This code's 1 206 steps (pinned above) drop h's leading
+    # term by a pure power X_j^5 or cancel it in place, and create no word.
+    counts = count_calls(monkeypatch, (poly, "heappop"), (poly, "heappush"))
+    assert verify_closed_form(GeneratorMatrix(5, 1, 5, ((1, 1, 1, 2, 3),))).ok
+    assert counts == {"heappop": 0, "heappush": 0}

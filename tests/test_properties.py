@@ -329,6 +329,91 @@ def test_accumulator_matches_polynomial_arithmetic(args):
 
 
 @st.composite
+def accumulator_walks(draw, order):
+    """A start of two terms or more and the steps of a walk over it.
+
+    A step adds a multiple, drops the leading term, cancels it by an added
+    multiple, creates the last cancelled word again, or drops the leading
+    word and creates it again. The first four steps are fixed: a word below
+    the run head is created, then the run head is dropped and created again
+    while the walk still points at it, and last it is cancelled, walked past
+    and created again.
+    """
+    ring = draw(rings((order,)))
+    scalars = st.integers(1, ring.p - 1)
+    monos = st.tuples(*[st.integers(0, 3)] * ring.n)
+    full = draw(st.dictionaries(monos, scalars, min_size=3, max_size=8))
+    full = ring.poly((c, m) for m, c in full.items())
+    c, held = full.terms[1]  # held out of the run, created by the first step
+    start = full - ring.one().mul_term(c, held)
+    gs = [polys(draw, ring, max_terms=4) for _ in range(3)]
+    words = st.tuples(*[st.integers(0, 2)] * ring.n).map(ring.encode)
+    step = st.one_of(
+        st.tuples(st.just("add"), st.integers(0, ring.p - 1), words, st.sampled_from(gs)),
+        st.tuples(st.just("drop")),
+        st.tuples(st.just("cancel")),
+        st.tuples(st.just("recreate"), scalars),
+        st.tuples(st.just("drop-recreate"), scalars),
+    )
+    prefix = [
+        ("add", c, held, ring.one()),
+        ("drop-recreate", draw(scalars)),
+        ("cancel",),
+        ("recreate", draw(scalars)),
+    ]
+    return ring, start, prefix + draw(st.lists(step, max_size=8))
+
+
+@pytest.mark.parametrize("order", list(Order))
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_walk_yields_the_leading_terms_of_polynomial_arithmetic(order, data):
+    ring, start, steps = data.draw(accumulator_walks(order))
+    one = ring.one()
+    acc = TermAccumulator(ring, start.terms)
+    walk = acc.leading_terms()
+    expected = start
+    lead = next(walk)
+    cancelled = []
+    for kind, *args in steps:
+        if kind == "add":
+            c, q, g = args
+            acc.add_multiple(c, q, g)
+            expected += g.mul_term(c, q)
+        elif kind == "recreate":
+            if not cancelled:
+                continue
+            m = cancelled.pop()
+            acc.add_multiple(args[0], m, one)
+            expected += one.mul_term(args[0], m)
+        elif expected:  # the other steps remove the leading term
+            c, m = lead
+            if kind == "cancel":
+                acc.add_multiple(-c, m, one)
+                cancelled.append(m)
+            else:
+                acc.drop_leading(m)
+            expected -= one.mul_term(c, m)
+            if kind == "drop-recreate":
+                acc.add_multiple(args[0], m, one)
+                expected += one.mul_term(args[0], m)
+        assert acc.to_poly() == expected
+        assert bool(acc) == bool(expected)
+        if expected:
+            lead = next(walk)
+            assert lead == expected.leading_term == acc.leading_term()
+        else:  # a walk ends with h; the next one starts at the run's top
+            assert next(walk, None) is None
+            walk = acc.leading_terms()
+    popped = []
+    for c, m in walk:  # the walk yields its last term again, still in place
+        popped.append((c, m))
+        acc.drop_leading(m)
+    assert tuple(popped) == expected.terms
+    assert not acc
+
+
+@st.composite
 def global_division(draw):
     ring = draw(rings(GLOBAL_ORDERS))
     f = polys(draw, ring, max_terms=8, max_exp=4)

@@ -87,6 +87,7 @@ def _cases():
     # exit 2, one command per message class
     yield "error-parse-basis-line-col", ["nf", "X1", "basis.txt"], {"basis.txt": "p=3 n=2\n  X1+X7\n"}
     yield "error-parse-basis-header", ["nf", "X1", "basis.txt"], {"basis.txt": "p=3, n=2\nX1\n"}
+    yield "error-basis-header-not-prime", ["nf", "X1", "basis.txt"], {"basis.txt": "# F_4\n p=4 n=2\nX1\n"}
     yield "error-parse-poly-argument", ["nf", "X1+X9", "basis.txt"], {"basis.txt": "p=3 n=2\nX1\n"}
     yield "error-zero-basis-line", ["nf", "X1", "basis.txt"], {"basis.txt": "p=3 n=2\nX1+X2\nX1-X1\n"}
     yield "error-matrix-format", ["groebner", "matrix.txt"], {"matrix.txt": "p=3\nk=1 n=2\n1 x\n"}

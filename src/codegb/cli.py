@@ -7,7 +7,13 @@ nf (normal form of a polynomial against a basis file).
 
 Exit codes: 0 success, 1 verification failure, 2 malformed input.
 Polynomials are printed one per line in canonical form; --trace sends
-reduction events to stderr, so stdout stays byte-stable.
+reduction events to stderr, so stdout stays byte-stable. Input files are
+UTF-8, and a byte-order mark at the start of one is skipped.
+
+The subcommands are one table, _COMMANDS. main builds the arguments of
+the invoked subcommand only, since building the whole parser took most of
+a small command's time, and parses argv exactly as the full parser,
+build_parser() with no argument, does.
 """
 
 from __future__ import annotations
@@ -36,8 +42,9 @@ _ORDER_CHOICES = [o.value for o in Order]
 
 
 def _read(path: str) -> str:
-    # newline="": the text as is, so content_lines alone decides where lines end
-    with open(path, encoding="utf-8", newline="") as file:
+    # newline="": the text as is, so content_lines alone decides where lines end;
+    # utf-8-sig drops a byte-order mark that starts the file, and only that one
+    with open(path, encoding="utf-8-sig", newline="") as file:
         return file.read()
 
 
@@ -166,57 +173,83 @@ def cmd_nf(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+_MATRIX = ("matrix", dict(help="generator matrix file"))
+_ORDER = ("--order", dict(choices=_ORDER_CHOICES, default="lex"))
+_TRACE = ("--trace", dict(action="store_true", help="dump reduction steps to stderr"))
+
+# name, help line, handler, and each argument's name and add_argument keywords
+# in --help order
+_COMMANDS = (
+    ("groebner", "reduced Groebner basis of the code ideal", cmd_groebner, [
+        _MATRIX,
+        _ORDER,
+        _TRACE,
+    ]),
+    ("standard-basis", "standard basis of the translated code ideal", cmd_standard_basis, [
+        _MATRIX,
+        ("--method", dict(choices=["closed-form", "mora"], default="closed-form")),
+        _TRACE,
+    ]),
+    ("verify", "verify the closed-form standard basis", cmd_verify, [
+        ("matrix", dict(nargs="?", help="generator matrix file")),
+        ("--inject-drop", dict(
+            type=int, metavar="IDX", help="drop one closed-form element first (negative control)"
+        )),
+        ("--random", dict(type=int, metavar="N", help="verify N random matrices")),
+        ("--seed", dict(type=int, help="seed for --random")),
+    ]),
+    ("nf", "normal form of a polynomial against a basis file", cmd_nf, [
+        ("poly", dict(help="polynomial, e.g. 'X1+2X4^2'")),
+        ("basis", dict(help="basis file: 'p=<prime> n=<int>' header, one polynomial per line")),
+        _ORDER,
+        ("--max-steps", dict(
+            type=int, metavar="N", help="give up after N reduction steps (local orders only)"
+        )),
+        _TRACE,
+    ]),
+)
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The CLI's parser; with a command name, only that subcommand gets its arguments.
+
+    Every subcommand is added with its help line, so the top-level usage,
+    --help and an unknown command's choices are the same either way. The
+    others are left empty, without even -h. With no name, the full parser.
+    """
     parser = argparse.ArgumentParser(
         prog="codegb",
         description="Exact Groebner and standard bases for binomial ideals of linear codes",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_groe = sub.add_parser("groebner", help="reduced Groebner basis of the code ideal")
-    p_groe.add_argument("matrix", help="generator matrix file")
-    p_groe.add_argument("--order", choices=_ORDER_CHOICES, default="lex")
-    p_groe.add_argument("--trace", action="store_true", help="dump reduction steps to stderr")
-    p_groe.set_defaults(func=cmd_groebner)
-
-    p_std = sub.add_parser(
-        "standard-basis", help="standard basis of the translated code ideal"
-    )
-    p_std.add_argument("matrix", help="generator matrix file")
-    p_std.add_argument("--method", choices=["closed-form", "mora"], default="closed-form")
-    p_std.add_argument("--trace", action="store_true", help="dump reduction steps to stderr")
-    p_std.set_defaults(func=cmd_standard_basis)
-
-    p_ver = sub.add_parser("verify", help="verify the closed-form standard basis")
-    p_ver.add_argument("matrix", nargs="?", help="generator matrix file")
-    p_ver.add_argument(
-        "--inject-drop",
-        type=int,
-        metavar="IDX",
-        help="drop one closed-form element first (negative control)",
-    )
-    p_ver.add_argument("--random", type=int, metavar="N", help="verify N random matrices")
-    p_ver.add_argument("--seed", type=int, help="seed for --random")
-    p_ver.set_defaults(func=cmd_verify)
-
-    p_nf = sub.add_parser("nf", help="normal form of a polynomial against a basis file")
-    p_nf.add_argument("poly", help="polynomial, e.g. 'X1+2X4^2'")
-    p_nf.add_argument("basis", help="basis file: 'p=<prime> n=<int>' header, one polynomial per line")
-    p_nf.add_argument("--order", choices=_ORDER_CHOICES, default="lex")
-    p_nf.add_argument(
-        "--max-steps",
-        type=int,
-        metavar="N",
-        help="give up after N reduction steps (local orders only)",
-    )
-    p_nf.add_argument("--trace", action="store_true", help="dump reduction steps to stderr")
-    p_nf.set_defaults(func=cmd_nf)
-
+    for name, help_line, handler, arguments in _COMMANDS:
+        if command is not None and name != command:
+            sub.add_parser(name, help=help_line, add_help=False)
+            continue
+        subparser = sub.add_parser(name, help=help_line)
+        for argument, options in arguments:
+            subparser.add_argument(argument, **options)
+        subparser.set_defaults(func=handler)
     return parser
 
 
+def parse_args(argv) -> argparse.Namespace:
+    """build_parser(command).parse_args(argv), for the command that argv invokes.
+
+    The top-level parser has no option that takes a value, so the command it
+    dispatches on is the first token it reads as a positional. It reads every
+    token that does not start with '-' as one, so the command is the first
+    such token, unless an earlier token that starts with '-' is read as a
+    positional too (such as '-', '-1' or '--'). No command starts with '-',
+    so argparse then exits with "invalid choice" at the top level, before any
+    subparser runs.
+    """
+    command = next((token for token in argv if not token.startswith("-")), None)
+    return build_parser(command).parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -1,14 +1,19 @@
 """Command-line surface: output bytes, exit codes, determinism."""
 
 import argparse
+import contextlib
 import hashlib
+import io
 import os
 import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codegb import cli, codes
 from codegb.cli import build_parser, main
@@ -138,6 +143,79 @@ def test_cli_surface_is_pinned():
     }
     assert surface == CLI_SURFACE
     assert list(surface) == list(CLI_SURFACE)
+
+
+# the CLI's own vocabulary, plus an unknown command, an option prefix, an
+# option with its value attached, and the tokens argparse reads specially
+ARGV_TOKENS = [
+    *CLI_SURFACE,
+    "bogus",
+    *sorted({s for command in CLI_SURFACE.values() for flags, *_ in command.values() for s in flags}),
+    "-h",
+    "--help",
+    "--ord",
+    "--order=deglex",
+    "--",
+    "-",
+    "-1",
+    "",
+    "matrix.txt",
+    "negdeglex",
+    "mora",
+    "3",
+    "X1",
+]
+
+
+def _parse_outcome(parse, argv):
+    """(namespace with func by name, exit code, stdout, stderr) of parse(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    namespace, code = None, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            namespace = vars(parse(list(argv)))
+        except SystemExit as exc:  # argparse's errors and --help
+            code = exc.code
+    if namespace is not None and "func" in namespace:
+        namespace["func"] = namespace["func"].__name__
+    return namespace, code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(list(CLI_SURFACE)) | st.sampled_from(ARGV_TOKENS), max_size=6))
+def test_the_invoked_subcommand_parse_equals_the_full_parse(argv):
+    # main builds only the arguments of the subcommand argv names; argparse
+    # must not tell the difference, also in its errors and --help
+    with mock.patch.dict(os.environ, COLUMNS="80"):
+        pruned = _parse_outcome(cli.parse_args, argv)
+        full = _parse_outcome(lambda tokens: build_parser().parse_args(tokens), argv)
+    assert pruned == full
+
+
+def test_main_builds_only_the_invoked_subcommands_arguments(matrix_file):
+    # counted at the class, so that a call through any parser or binding is seen
+    calls = []
+    add_argument = argparse._ActionsContainer.add_argument
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    with mock.patch.object(argparse._ActionsContainer, "add_argument", counting):
+        build_parser()
+        full = len(calls)
+        calls.clear()
+        assert main(["verify", matrix_file]) == 0
+    # the full parser: the top-level -h, four subcommands' -h and 15 arguments
+    assert full == 20
+    assert calls == [
+        ("-h", "--help"),
+        ("-h", "--help"),
+        ("matrix",),
+        ("--inject-drop",),
+        ("--random",),
+        ("--seed",),
+    ]
 
 
 def test_missing_file(capsys, tmp_path):

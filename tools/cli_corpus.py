@@ -97,6 +97,11 @@ def _cases():
         name = "-".join(["error-size-cap", *command[:1], *command[2:]])
         yield name, argv, {"matrix.txt": "p=10007\nk=1 n=4\n1 1 1 1\n"}
     yield "error-missing-file", ["groebner", "nope.txt"], {}
+    # a UTF-8 byte-order mark starts a file's text only; anywhere else it is a character
+    bom = "\ufeff"
+    yield "verify-bom", ["verify", "matrix.txt"], {"matrix.txt": bom + EXAMPLE_MATRIX}
+    yield "nf-bom", ["nf", NF_POLY, "basis.txt"], {"basis.txt": bom + LEX_BASIS}
+    yield "error-bom-inside-basis", ["nf", "X1", "basis.txt"], {"basis.txt": "p=3 n=2\n" + bom + "X1\n"}
     yield "error-argparse-no-command", [], {}
     yield "error-argparse-bad-order", ["groebner", "matrix.txt", "--order", "revlex"], m3
     yield "error-argparse-inject-drop-needs-index", ["verify", "matrix.txt", "--inject-drop"], m3
@@ -105,7 +110,14 @@ def _cases():
     for columns in (80, 120):
         yield f"error-argparse-random-needs-n-{columns}", ["verify", "--random"], {}, columns
     yield "help", ["--help"], {}
-    yield "help-nf", ["nf", "--help"], {}
+    for command in ("groebner", "standard-basis", "verify", "nf"):
+        yield f"help-{command}", [command, "--help"], {}
+    yield "help-before-command", ["--help", "verify"], {}
+    # the top-level parser refuses these, with its own usage line
+    yield "error-argparse-unknown-command", ["bogus"], {}
+    yield "error-argparse-unknown-option", ["verify", "matrix.txt", "--bogus"], m3
+    yield "error-argparse-double-dash-first", ["--", "verify", "matrix.txt"], m3
+    yield "error-argparse-negative-number-first", ["-1", "verify", "matrix.txt"], m3
 
 
 def _lines(text: str) -> list[str]:
@@ -131,7 +143,8 @@ def main() -> int:
             "stdout": _lines(out),
             "stderr": _lines(err),
         }
-        text = json.dumps(record, indent=1, ensure_ascii=False) + "\n"
+        # \u escapes keep characters such as a byte-order mark visible in the diff
+        text = json.dumps(record, indent=1) + "\n"
         (CORPUS / f"{name}.json").write_text(text, encoding="utf-8")
         names.add(f"{name}.json")
     for stale in CORPUS.glob("*.json"):

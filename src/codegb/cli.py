@@ -5,7 +5,8 @@ standard-basis (closed-form or Mora-computed standard basis of the
 translated ideal), verify (three-check report on the closed form), and
 nf (normal form of a polynomial against a basis file).
 
-Exit codes: 0 success, 1 verification failure, 2 malformed input.
+Exit codes: 0 success, 1 verification failure, 2 malformed input, 141
+(128 + SIGPIPE) when the reader of stdout has gone, buffered or not.
 Polynomials are printed one per line in canonical form; --trace sends
 reduction events to stderr, so stdout stays byte-stable. Input files are
 UTF-8, and a byte-order mark at the start of one is skipped.
@@ -19,6 +20,7 @@ build_parser() with no argument, does.
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import re
 import sys
@@ -251,7 +253,13 @@ def parse_args(argv) -> argparse.Namespace:
 def main(argv=None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader has gone; what is still buffered goes to devnull at exit, not to stderr
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as exc:
         # ParseError and MatrixFormatError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)

@@ -215,7 +215,7 @@ class VerificationReport(
     """Three independent checks of the closed-form standard basis.
 
     The three checks are bools; detail is a str naming the first failure,
-    empty by default.
+    empty by default. The truth value is ok's, as for mora.BasisCheck.
     """
 
     __slots__ = ()
@@ -223,6 +223,9 @@ class VerificationReport(
     @property
     def ok(self) -> bool:
         return self.generators_match and self.standard_basis_ok and self.leading_terms_ok
+
+    def __bool__(self) -> bool:
+        return self.ok
 
 
 def verify_closed_form(G: GeneratorMatrix, *, drop_index: int | None = None) -> VerificationReport:

@@ -5,15 +5,12 @@ whose leading monomial divides the current leading monomial wins; when
 none does, the leading term moves to the remainder. A global order is a
 well-order on monomials, so the loop always terminates.
 
-The dividend being reduced lives in a poly.TermAccumulator, not in a
-Polynomial, so a reduction step costs O(|g| log |h|) for a divisor g and
-the current dividend h. The accumulator heaps only the words that steps
-create, and walks f's own sorted terms by an index, so moving one of f's
-terms to the remainder costs O(1). Monomials are the ring's packed words
-(see monomials): divides is one subtraction and one mask, and the quotient
-lm - glm it admits is one subtraction. Leading monomials strictly decrease
-from step to step, so the quotient and remainder terms come out already
-sorted and distinct.
+The dividend being reduced lives in a poly.TermAccumulator, which states
+what a reduction step and a move to the remainder cost. Monomials are the
+ring's packed words (see monomials): divides is one subtraction and one
+mask, and the quotient lm - glm it admits is one subtraction. Leading
+monomials strictly decrease from step to step, so the quotient and
+remainder terms come out already sorted and distinct.
 
 A call's fixed cost is one pass over the divisors: poly.check_divisors (a
 ring identity test, equal but distinct rings still passing, and a zero

@@ -29,24 +29,22 @@ Since lm(h) strictly falls, lm_s > lm(h) = X^q*lm(f_j), so w differs from
 q. A recorded g's words can collide, so its updates go through
 poly.add_product.
 
-While the loop runs, h lives in a poly.TermAccumulator. A step costs the
-work it does: a one-term g (a pure power X_j^p of a closed form, a monomial
-divisor) cancels exactly h's leading term, which is dropped from h by the
-word the step has already read, one dict delete. The accumulator walks f's
-own sorted terms by an index and heaps only the words that steps create, so
-dropping one of f's terms costs O(1); a longer g costs O(|g| log |h|)
-through add_multiple. Either way the step makes one field inverse and the
-scan one divides per candidate. Monomials are the ring's packed words (see
-monomials). The ecart is this module's: a reducer's is read off its first
-and last words (see ecart), h's off its smallest word, which has the largest
-degree. Certificate entries are never read in leading-term order: h's are
-word -> coefficient dicts, sorted into Polynomials once, at the end (the
-divisors that never reduced share one zero); a recorded reducer freezes
-them into tuples of (coefficient, word) pairs. The check recomputes both
-sides from the returned Polynomials alone: u*f, which is f itself when
-u = 1, against h merged with the sorted product a_i*f_i of every nonzero
-cofactor. A product with a one-term factor, such as a one-term cofactor or
-a pure power X_j^p, is one mul_term pass (see poly).
+While the loop runs, h lives in a poly.TermAccumulator, which states what
+its operations cost. A one-term g (a pure power X_j^p of a closed form, a
+monomial divisor) cancels exactly h's leading term, so the step drops that
+term by the word it has already read instead of adding q*g. Either way the
+step makes one field inverse and the scan one divides per candidate.
+Monomials are the ring's packed words (see monomials). The ecart is this
+module's: a reducer's is read off its first and last words (see ecart), h's
+off its smallest word, which has the largest degree. Certificate entries
+are never read in leading-term order: h's are word -> coefficient dicts,
+sorted into Polynomials once, at the end (the divisors that never reduced
+share one zero); a recorded reducer freezes them into tuples of
+(coefficient, word) pairs. The check recomputes both sides from the
+returned Polynomials alone: u*f, which is f itself when u = 1, against h
+merged with the sorted product a_i*f_i of every nonzero cofactor. A product
+with a one-term factor, such as a one-term cofactor or a pure power X_j^p,
+is one mul_term pass (see poly).
 """
 
 from __future__ import annotations

@@ -13,11 +13,9 @@ explicit Ring.convert operation.
 Ring.poly is the normalizing constructor for raw, unsorted terms (a dict
 merge plus one sort of the words). Sums and differences of Polynomials skip
 it: both operands are already sorted, so one linear merge of the two term
-sequences is enough. Reduction loops do not build a Polynomial per step at
-all; they keep the polynomial being reduced in a TermAccumulator, which
-walks the input's own sorted terms and heaps only the words that steps
-create: dropping the leading term, or passing to the next term of the
-input, costs O(1).
+sequences is enough. Reduction loops build no Polynomial per step: they
+keep the polynomial being reduced in a TermAccumulator, whose docstring
+states what each of its operations costs.
 
 A product f*g takes one of three paths, each paying only for what can
 happen in it:
@@ -67,6 +65,8 @@ class Ring(monomials.Encoding):
     __slots__ = ("p", "order", "field")
 
     def __init__(self, p: int, n: int, order: Order):
+        if not isinstance(order, Order):
+            raise TypeError(f"order must be an Order, not {order!r}")
         if n < 1:
             raise ValueError("variable count must be at least 1")
         if n > 65536:  # printing costs memory per variable; a 20-byte file could ask for GBs
@@ -228,6 +228,11 @@ class Polynomial:
             return NotImplemented
         return self + -other
 
+    def __rsub__(self, other):
+        if not isinstance(other, int):
+            return NotImplemented
+        return -self + other
+
     def __neg__(self):
         return self * -1
 
@@ -379,9 +384,6 @@ class TermAccumulator:
         self.run = list(self.coeffs)
         self.heap: list[int] = []
 
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
     def add_multiple(self, c: int, q: int, g: Polynomial) -> None:
         """Add c * q * g for a coefficient c, a word q and a Polynomial g."""
         ring = self.ring
@@ -429,13 +431,8 @@ class TermAccumulator:
                 m = heap_key(heap[0])
             yield coeffs[m], m
 
-    def leading_term(self) -> Term:
-        for term in self.leading_terms():
-            return term
-        raise ValueError("the zero polynomial has no leading term")
-
     def drop_leading(self, m: int) -> None:
-        """Remove the leading term, whose word m the walk or leading_term() has just given."""
+        """Remove the leading term, whose word m the walk has just yielded."""
         del self.coeffs[m]
 
     def to_poly(self) -> Polynomial:

@@ -418,6 +418,27 @@ def _plain_and_optimized(command):
     ]
 
 
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_a_reader_that_has_gone_exits_141_in_silence(tmp_path, unbuffered):
+    # 128 + SIGPIPE, as a shell reports a writer killed by a closed pipe, buffered or not
+    path = tmp_path / "matrix.txt"
+    path.write_text(EXAMPLE_MATRIX)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "codegb.cli", "verify", str(path)],
+            env=env, stdout=write, stderr=subprocess.PIPE, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (141, b"")
+
+
 def test_verify_matches_under_optimize_flag(tmp_path):
     # python -O strips asserts; every check behind verify's output must survive it
     path = tmp_path / "matrix.txt"

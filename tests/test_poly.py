@@ -53,6 +53,12 @@ def test_normalize_rejects_bad_monomials():
         ring.poly([(1, (-1, 0))])
 
 
+def test_a_ring_refuses_an_order_that_is_not_an_order():
+    # a str would be laid out as negdeglex and fail only later, in repr
+    with pytest.raises(TypeError, match=r"^order must be an Order, not 'lex'$"):
+        Ring(3, 2, "lex")
+
+
 def test_ring_mismatch_rejected():
     a = Ring(3, 2, Order.LEX).variable(1)
     for other in (Ring(3, 2, Order.DEGLEX), Ring(5, 2, Order.LEX), Ring(3, 3, Order.LEX)):
@@ -297,15 +303,19 @@ def test_foreign_operands_exponents_and_empty_accumulators_are_refused(local6):
     for k in (-1, 1.5):
         with pytest.raises(ValueError, match="non-negative int"):
             f**k
-    for op in (lambda: f + "x", lambda: f - "x", lambda: f * 1.5):
+    for op in (lambda: f + "x", lambda: f - "x", lambda: f * 1.5, lambda: "x" - f):
         with pytest.raises(TypeError):
             op()
+    # an int minus f, as f minus an int; 3 is 0 in F_3
+    assert [c - f for c in (1, 3)] == [-f + 1, -f + 3] == [parse_poly("1+2X1+X4^2", local6), -f]
     assert (f == 3, local6 == 3) == (False, False)
     assert repr(f) == f"Polynomial({f})" == "Polynomial(X1+2X4^2)"
     acc = poly.TermAccumulator(local6, f.terms[:1])
-    acc.drop_leading(acc.leading_term()[1])
-    with pytest.raises(ValueError, match="no leading term"):
-        acc.leading_term()
+    walk = acc.leading_terms()
+    assert next(walk) == f.terms[0]
+    acc.drop_leading(f.terms[0][1])
+    # an emptied accumulator's walk ends, and a fresh one yields nothing
+    assert next(walk, None) is None and next(acc.leading_terms(), None) is None
 
 
 def test_polynomials_are_hashable(local6):

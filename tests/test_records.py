@@ -57,6 +57,7 @@ def test_the_six_records_keep_their_contract():
     assert bool(BasisCheck(False, "x")) is False  # a non-empty tuple would be true
     report = VerificationReport(True, False, True)
     assert report.detail == "" and report.ok is False
+    assert bool(report) is False and bool(verify_closed_form(G)) is True  # as for BasisCheck
 
 
 def test_the_validating_records_refuse_with_their_messages():

@@ -3,9 +3,12 @@
 complete() is the package's one pair-completion loop: groebner runs it with
 division, mora.standard_basis with weak normal forms. Its heap pops the pair
 whose lcm is smallest under the active order first (the normal strategy),
-ties broken by the smaller index pair, which makes runs reproducible. Pairs
-with coprime leading monomials are skipped since their S-polynomials always
-reduce to zero.
+ties broken by the smaller index pair, which makes runs reproducible. Each
+pair meets the product criterion once, as it is formed: a pair with
+coprime leading monomials is skipped there, since its S-polynomial always
+reduces to zero, and gets no lcm and no heap entry. mora.standard_basis
+hands complete() a prepared reducer basis, which grows by append as the
+basis grows (see mora).
 """
 
 from __future__ import annotations
@@ -49,17 +52,18 @@ def complete(
     pairs: list[tuple] = []
 
     def queue_pairs(j: int) -> None:
-        lm = basis[j].terms[0][1]
+        g = basis[j]
+        lm = g.terms[0][1]
         for i in range(j):
-            gamma = monomials.lcm(basis[i].terms[0][1], lm, ring)
-            heapq.heappush(pairs, (ring.key(gamma), i, j))
+            f = basis[i]
+            if not product_criterion(f, g):
+                gamma = monomials.lcm(f.terms[0][1], lm, ring)
+                heapq.heappush(pairs, (ring.key(gamma), i, j))
 
     for j in range(len(basis)):
         queue_pairs(j)
     while pairs:
         _, i, j = heapq.heappop(pairs)
-        if product_criterion(basis[i], basis[j]):
-            continue
         s = s_polynomial(basis[i], basis[j])
         if not s:
             continue

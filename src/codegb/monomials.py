@@ -22,7 +22,8 @@ exactly when (b - a) & guards is 0: a field of b - a that would be
 negative borrows from above and so sets its own guard bit. The quotient is
 b - a, and the monomial 1 is the word 0 in every ring. The lcm takes the
 larger exponent of every field with one more guard-bit subtraction and
-unpacks only its result, for the degree. Exponent tuples appear otherwise
+unpacks only its result, for the degree, and occupied marks the variables
+of a word by their guard bits. Exponent tuples appear otherwise
 only at the edges, through Encoding.encode and Encoding.exponents, which
 (un)pack the fields with struct in one C call; the parser sums multiples of
 variable_word instead. A word holds n*w bits (128 KiB at n = 65 536 with
@@ -162,6 +163,12 @@ def lcm(a: int, b: int, encoding: Encoding) -> int:
     ge -= ge >> (encoding.width - 1)
     fields = (fa & ge) | (fb & ~ge)
     return fields + encoding.degree_unit * sum(encoding.exponents(fields))
+
+
+def occupied(word: int, encoding: Encoding) -> int:
+    """The guard bit of every field of a word that is nonzero: one bit per variable that occurs."""
+    guards = encoding.guards
+    return (word + guards - (guards >> (encoding.width - 1))) & guards
 
 
 def coprime(a: int, b: int, encoding: Encoding) -> bool:

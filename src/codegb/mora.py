@@ -45,16 +45,36 @@ returned Polynomials alone: u*f, which is f itself when u = 1, against h
 merged with the sorted product a_i*f_i of every nonzero cofactor. A product
 with a one-term factor, such as a one-term cofactor or a pure power X_j^p,
 is one mul_term pass (see poly).
+
+A divisor sequence is prepared once, as a _ReducerBasis: each divisor's
+_Reducer (leading term, ecart, one-term flag) is built when it joins.
+is_standard_basis prepares its candidate and its reference basis once for
+all their weak normal forms, Mora's completion keeps one that grows by
+append with its basis, and a call on a plain sequence prepares its own. A
+call copies the prepared list, O(s) for s divisors, and records its
+intermediates in the copy only. Up to INDEX_THRESHOLD reducers a step tests
+them all, one divides each; above it, a step tests only the candidates an
+_Index returns, at the cost its docstring states. The threshold sits at the
+measured crossover, 20 to 32 reducers on wide codes, below which the index
+costs more than it saves. Either way the step chooses the earliest
+matching reducer of least ecart, so every step, trace line and recorded
+count is the same.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Sequence
+from operator import attrgetter
 
 from . import monomials
 from .buchberger import _prepare, complete, minimalize
 from .poly import Polynomial, TermAccumulator, add_product, check_divisors, s_polynomial
+
+
+# The most reducers a step tests one by one; a longer prepared basis is
+# indexed. Set at the measured crossover (see above).
+INDEX_THRESHOLD = 32
 
 
 class WeakNormalForm(namedtuple("WeakNormalForm", "normal_form unit coefficients recorded")):
@@ -105,8 +125,9 @@ class _Reducer:
     term to a_i, and None for a recorded intermediate. A recorded one
     carries cert instead, a snapshot of h's own vector: it maps each nonzero
     position to a tuple of (coefficient, word) pairs, and its updates go
-    through add_product. The leading term and the ecart are cached because
-    every step scans every reducer. single tells whether g is one term.
+    through add_product. The leading term and the ecart are read once, when
+    g joins a prepared basis or is recorded, because every step that scans g
+    reads them. single tells whether g is one term.
     """
 
     __slots__ = ("poly", "lc", "lm", "ecart", "single", "position", "cert")
@@ -118,6 +139,79 @@ class _Reducer:
         self.single = len(poly.terms) == 1
         self.position = position
         self.cert = cert
+
+
+_insertion = attrgetter("position")  # a prepared reducer's place in its basis
+
+
+class _Index:
+    """The prepared reducers bucketed by one variable of their leading monomial.
+
+    A reducer sits in the bucket of the lowest variable of its leading
+    monomial, one with lm = 1 in a bucket of its own, and a bucket keeps its
+    reducers in insertion order. Only a reducer whose bucket variable occurs
+    in lm(h) can divide lm(h), so candidates(lm) gathers the lm = 1 bucket
+    and the buckets of lm's variables, read off monomials.occupied, and
+    sorts them back into insertion order. A step then costs one pass over
+    lm's occupied fields, O(n) word operations, and one sort and one divides
+    per candidate, in place of one divides per reducer.
+    """
+
+    __slots__ = ("encoding", "buckets", "keys")
+
+    def __init__(self, encoding: monomials.Encoding, reducers: Iterable[_Reducer]):
+        self.encoding = encoding
+        self.buckets: dict[int, list[_Reducer]] = {}
+        self.keys = 0  # the guard bit of every bucket variable
+        for r in reducers:
+            self.add(r)
+
+    def add(self, r: _Reducer) -> None:
+        occupied = monomials.occupied(r.lm, self.encoding)
+        bit = occupied & -occupied  # 0 for lm = 1
+        self.buckets.setdefault(bit.bit_length(), []).append(r)
+        self.keys |= bit
+
+    def candidates(self, lm: int) -> list[_Reducer]:
+        """Every reducer whose leading monomial may divide lm, in insertion order."""
+        buckets = self.buckets
+        out = list(buckets.get(0, ()))
+        present = monomials.occupied(lm, self.encoding) & self.keys
+        while present:
+            bit = present & -present
+            out += buckets[bit.bit_length()]
+            present ^= bit
+        out.sort(key=_insertion)
+        return out
+
+
+class _ReducerBasis(list):
+    """Nonzero divisors of one ring, each prepared once as a _Reducer.
+
+    weak_normal_form takes it in place of a divisor sequence, so the checks
+    that reduce many polynomials by one basis, and Mora's completion, whose
+    basis only grows, build each reducer once and not once per call. It
+    grows by append only. Above INDEX_THRESHOLD reducers it keeps an _Index
+    for the scan; recorded intermediates never join it.
+    """
+
+    __slots__ = ("reducers", "index")
+
+    def __init__(self, divisors: Iterable[Polynomial]):
+        super().__init__()
+        self.reducers: list[_Reducer] = []
+        self.index: _Index | None = None
+        for g in divisors:
+            self.append(g)
+
+    def append(self, g: Polynomial) -> None:
+        r = _Reducer(g, len(self) + 1)
+        super().append(g)
+        self.reducers.append(r)
+        if self.index is not None:
+            self.index.add(r)
+        elif len(self) > INDEX_THRESHOLD:
+            self.index = _Index(g.ring, self.reducers)
 
 
 def weak_normal_form(
@@ -142,26 +236,40 @@ def weak_normal_form(
     """
     if max_steps is not None and max_steps < 0:
         raise ValueError(f"max_steps must be non-negative, got {max_steps}")
-    ring = f.ring
-    if not ring.order.is_local:
+    if not f.ring.order.is_local:
         raise ValueError(
             "weak_normal_form requires a local order; use division.divide for global orders"
         )
-    divisors = check_divisors(f, divisors)
+    if type(divisors) is _ReducerBasis:
+        if divisors:
+            f._check_ring(divisors[0])
+    else:
+        divisors = _ReducerBasis(check_divisors(f, divisors))
+    return _reduce(f, divisors, trace, max_steps)
 
+
+def _reduce(
+    f: Polynomial,
+    basis: _ReducerBasis,
+    trace: Callable[[str], None] | None,
+    max_steps: int | None,
+) -> WeakNormalForm:
+    """weak_normal_form's loop, on a prepared basis of f's ring."""
+    ring = f.ring
     p, guards = ring.p, ring.guards
     divides, inv = monomials.divides, ring.field.inv
     one = monomials.ONE
+    size, index = len(basis), basis.index
     # h = cert[0]*f - sum(cert[i+1]*f_i), so cert[0] is u and cert[i+1] is a_i
-    cert: list[dict] = [{one: 1}] + [{} for _ in divisors]
+    cert: list[dict] = [{one: 1}] + [{} for _ in range(size)]
     h = TermAccumulator(ring, f.terms)
-    reducers = [_Reducer(g, i + 1) for i, g in enumerate(divisors)]
+    reducers = basis.reducers[:]  # this call's: the prepared ones, then those it records
     steps = 0
 
     for lc, lm in h.leading_terms():
         # the earliest matching reducer of least ecart; none is below 0
         g = None
-        for r in reducers:
+        for r in reducers if index is None else index.candidates(lm) + reducers[size:]:
             if (g is None or r.ecart < g.ecart) and divides(r.lm, lm, guards):
                 g = r
                 if not g.ecart:
@@ -202,9 +310,9 @@ def weak_normal_form(
         h.to_poly(),
         ring._from_dict(cert[0]),
         tuple(ring._from_dict(a) if a else zero for a in cert[1:]),
-        len(reducers) - len(divisors),
+        len(reducers) - size,
     )
-    _check_certificate(f, divisors, result)
+    _check_certificate(f, basis, result)
     return result
 
 
@@ -250,7 +358,11 @@ def standard_basis(
             "standard_basis requires a local order; use buchberger.groebner for global orders"
         )
     return minimalize(
-        complete(basis, lambda s, b: weak_normal_form(s, b, trace=trace).normal_form, trace)
+        complete(
+            _ReducerBasis(basis),
+            lambda s, b: weak_normal_form(s, b, trace=trace).normal_form,
+            trace,
+        )
     )
 
 
@@ -262,17 +374,19 @@ def is_standard_basis(candidate: Sequence[Polynomial], gens: Sequence[Polynomial
     reduces to zero against the candidate, and each candidate element
     reduces to zero against a standard basis computed from the
     generators). An empty candidate is a standard basis of the zero ideal
-    only.
+    only. The candidate's nonzero elements must share one ring; ValueError
+    otherwise, as for the divisors of weak_normal_form.
     """
     S = [f for f in candidate if f]
     G = [g for g in gens if g]
+    S = _ReducerBasis(check_divisors(S[0], S) if S else ())
 
     # generation first: it is cheap and fails fast when an element is missing
     for g in G:
         if weak_normal_form(g, S).normal_form:
             return BasisCheck(False, f"generator {g!s} does not reduce to zero")
 
-    reference = standard_basis(G)
+    reference = _ReducerBasis(standard_basis(G))
     for f in S:
         if weak_normal_form(f, reference).normal_form:
             return BasisCheck(

@@ -466,6 +466,8 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
         raise ValueError("s-polynomial needs nonzero polynomials")
     f._check_ring(g)
     ring = f.ring
+    if len(f.terms) == 1 and len(g.terms) == 1:  # both multiples are the monic lcm
+        return ring.zero()
     (fc, fm), (gc, gm) = f.terms[0], g.terms[0]
     gamma = monomials.lcm(fm, gm, ring)
     inv = ring.field.inv

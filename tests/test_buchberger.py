@@ -190,7 +190,7 @@ def test_degrevlex_code_basis_makes_a_pinned_number_of_calls(monkeypatch):
     assert len(basis) > 1
     assert counts == {
         "divides": 11767,
-        "lcm": 977,
+        "lcm": 898,
         "divide": 457,
         "product_criterion": 528,
         "inv in divide": 895,

@@ -347,13 +347,26 @@ def test_random_matrix_is_deterministic():
 def test_verifying_draw_172_makes_a_pinned_number_of_divides_and_lcm_calls(monkeypatch):
     # Counted as the benchmark's tracer counts them: the module function is
     # wrapped at every binding in the package. The reduction loops call
-    # monomials.divides and lcm rather than inlining them, and the product
-    # criterion tests coprimality without an lcm, so these counts stay fixed.
+    # monomials.divides and lcm rather than inlining them, so these counts stay
+    # fixed. The completion loop takes an lcm only for a pair that the product
+    # criterion keeps, and s_polynomial none for two one-term polynomials.
     counts = count_calls(monkeypatch, (monomials, "divides"), (monomials, "lcm"))
     # draw #172 of random_code(Random(20240815)), the slowest known verify
     report = verify_closed_form(GeneratorMatrix(5, 1, 6, ((1, 1, 2, 1, 1, 2),)))
     assert report.ok
-    assert counts == {"divides": 40047, "lcm": 30}
+    assert counts == {"divides": 40047, "lcm": 5}
+
+
+def test_verifying_a_wide_code_makes_a_pinned_number_of_divides_and_lcm_calls(monkeypatch):
+    # p=3, k=1, n=100, row 1 1 1 1 0...0: 100 closed-form elements, 99 of them
+    # pure powers X_j^3. Each basis is prepared once and indexed, so a step
+    # tests only the reducers that share a variable with lm(h), where testing
+    # every reducer in every call made 146 522 divides calls; the 4 851 pairs
+    # of pure powers take no lcm, and the 99 pairs with X1+... one each.
+    counts = count_calls(monkeypatch, (monomials, "divides"), (monomials, "lcm"))
+    n = 100
+    assert verify_closed_form(GeneratorMatrix(3, 1, n, ((1, 1, 1, 1) + (0,) * (n - 4),))).ok
+    assert counts == {"divides": 12962, "lcm": 99}
 
 
 @pytest.mark.parametrize(

@@ -37,7 +37,7 @@ from codegb.buchberger import groebner
 from codegb.codes import lex_code_basis, random_matrix
 from codegb.division import divide
 from codegb.monomials import Order
-from codegb.mora import standard_basis, weak_normal_form
+from codegb.mora import _ReducerBasis, standard_basis, weak_normal_form
 from codegb.parsing import print_poly
 from codegb.poly import Ring
 
@@ -116,6 +116,21 @@ def local_instance(seed):
 def test_known_runaway_instances_hit_the_step_cap(seed):
     with pytest.raises(ValueError, match="exceeded 500 reduction steps"):
         weak_normal_form(*local_instance(seed), max_steps=500)
+
+
+def test_reductions_through_one_prepared_basis_equal_fresh_ones():
+    # The intermediates that a call records are its own: two reductions
+    # through one prepared basis must each equal a call on the plain divisors.
+    seeds = [row[1] for row in GOLDEN if row[0] == "local" and row[3]]
+    assert len(seeds) == 14
+    for seed in seeds:
+        f, divs = local_instance(seed)
+        basis = _ReducerBasis(divs)
+        fresh = weak_normal_form(f, divs)
+        assert fresh.recorded
+        for _ in range(2):
+            assert weak_normal_form(f, basis) == fresh, seed
+        assert len(basis.reducers) == len(divs)
 
 
 def global_instance(seed):

@@ -12,7 +12,7 @@ import pytest
 
 from codegb.codes import parse_matrix, translated_generators
 from codegb.monomials import Order, divides
-from codegb import ecart, mora
+from codegb import ecart, monomials, mora
 from codegb.mora import (
     BasisCheck,
     CertificateError,
@@ -26,6 +26,7 @@ from codegb.poly import Ring, s_polynomial
 from helpers import (
     EXAMPLE_MATRIX,
     G1,
+    count_calls,
     naive_reduction,
     random_local_divisor,
     random_nonzero_poly,
@@ -432,3 +433,27 @@ def test_standard_basis_tails_are_irreducible(translated):
     for f in basis:
         for _, mono in f.terms[1:]:
             assert not any(divides(lm, mono, guards) for lm in leading)
+
+
+@pytest.mark.parametrize(
+    "length, calls", [(mora.INDEX_THRESHOLD, mora.INDEX_THRESHOLD), (mora.INDEX_THRESHOLD + 1, 1)]
+)
+def test_a_step_scans_every_reducer_up_to_the_threshold_and_the_index_above_it(
+    monkeypatch, length, calls
+):
+    # X_1^2, ..., X_m^2 all have ecart 0, and only the last divides X_m^2: the
+    # scan tests every one, the index only X_m^2, alone in X_m's bucket
+    ring = Ring(3, length, Order.NEGDEGLEX)
+    divisors = [ring.variable(j) ** 2 for j in range(1, length + 1)]
+    counts = count_calls(monkeypatch, (monomials, "divides"))
+    result = weak_normal_form(divisors[-1], divisors)
+    assert not result.normal_form and result.coefficients[-1] == ring.one()
+    assert counts == {"divides": calls}
+
+
+def test_is_standard_basis_refuses_a_candidate_of_mixed_rings(local1):
+    # the candidate is prepared once, so its rings are checked before any reduction
+    other = Ring(5, 1, Order.NEGDEGLEX)
+    for gens in ([], [local1.variable(1)]):
+        with pytest.raises(ValueError, match="mixed polynomial contexts"):
+            is_standard_basis([local1.variable(1), other.variable(1)], gens)

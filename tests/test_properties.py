@@ -4,7 +4,8 @@ The packed monomial words are checked against the tuple reference in
 helpers, in all four orders and at all three field widths, up to the top of
 the exponent range; merged add/sub, products and the TermAccumulator
 against Ring.poly, the normalizing constructor, as the reference; division
-and Mora reduction against their contracts. Last, a failing property run
+and Mora reduction against their contracts, and the reducer index against
+the scan of every reducer it replaces. Last, a failing property run
 under the project's pytest configuration must still report its counterexample.
 """
 
@@ -12,15 +13,16 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codegb import monomials
+from codegb import monomials, mora
 from codegb.division import divide
 from codegb.monomials import Order, divides
-from codegb.mora import weak_normal_form
+from codegb.mora import _Index, _Reducer, _ReducerBasis, weak_normal_form
 from codegb.poly import Polynomial, Ring, TermAccumulator, add_product
 
 from helpers import (
@@ -460,6 +462,75 @@ def test_mora_certificate_identity(args):
     if result.normal_form:
         lm = result.normal_form.leading_monomial
         assert not any(divides(g.leading_monomial, lm, f.ring.guards) for g in divisors)
+
+
+@st.composite
+def indexed_reducers(draw):
+    """Reducers, recorded ones after them, and a word to reduce, in a 16-bit ring.
+
+    Exponents are small or at the top of the field, so words at the bound
+    meet words that divide them; a divisor with a constant term has lm = 1,
+    and one-term divisors tie in ecart 0.
+    """
+    ring = Ring(draw(st.sampled_from((2, 3, 16381))), draw(st.integers(1, 4)), Order.NEGDEGLEX)
+    exponent = st.one_of(st.integers(0, 2), st.integers(ring.bound - 1, ring.bound))
+    mono = st.tuples(*[exponent] * ring.n)
+    poly = st.lists(st.tuples(st.integers(1, ring.p - 1), mono), min_size=1, max_size=3)
+    nonzero = poly.map(ring.poly).filter(bool)
+    divisors = draw(st.lists(nonzero, min_size=1, max_size=40))
+    recorded = [_Reducer(g, cert={}) for g in draw(st.lists(nonzero, max_size=3))]
+    return ring, divisors, recorded, ring.encode(draw(mono))
+
+
+def first_of_least_ecart(reducers, word, guards):
+    return min((r for r in reducers if divides(r.lm, word, guards)), key=ecart_of, default=None)
+
+
+def ecart_of(r):
+    return r.ecart
+
+
+@FAST
+@given(indexed_reducers())
+def test_the_index_chooses_the_reducer_the_scan_chooses(args):
+    ring, divisors, recorded, word = args
+    basis = _ReducerBasis(divisors)
+    candidates = _Index(ring, basis.reducers).candidates(word)
+    positions = [r.position for r in candidates]
+    assert positions == sorted(set(positions))  # insertion order, each reducer once
+    matching = [r for r in basis.reducers if divides(r.lm, word, ring.guards)]
+    assert [r for r in candidates if divides(r.lm, word, ring.guards)] == matching
+    # a step scans the candidates, then the reducers its call recorded
+    chosen = first_of_least_ecart(candidates + recorded, word, ring.guards)
+    assert chosen is first_of_least_ecart(basis.reducers + recorded, word, ring.guards)
+
+
+@st.composite
+def local_reductions_with_units(draw):
+    ring = draw(rings((Order.NEGDEGLEX,)))
+    f = polys(draw, ring, max_terms=8, max_exp=4)
+    divisors = []
+    for _ in range(draw(st.integers(1, 8))):
+        g = nonzero_polys(draw, ring, max_terms=4, max_exp=4, min_deg=1)
+        # 1 + g is a unit, whose leading monomial is 1
+        divisors.append(g + 1 if draw(st.integers(0, 5)) == 0 else g)
+    return f, divisors
+
+
+@FAST
+@given(local_reductions_with_units())
+def test_indexed_and_scanned_reductions_take_the_same_steps(args):
+    f, divisors = args
+    runs = []
+    for threshold in (0, len(divisors)):  # the index on, then off
+        lines = []
+        with mock.patch.object(mora, "INDEX_THRESHOLD", threshold):
+            try:
+                result = weak_normal_form(f, divisors, trace=lines.append, max_steps=200)
+            except ValueError as exc:  # the step budget ran out
+                result = str(exc)
+        runs.append((result, lines))
+    assert runs[0] == runs[1]
 
 
 PROBE = """

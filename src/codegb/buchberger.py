@@ -6,9 +6,15 @@ whose lcm is smallest under the active order first (the normal strategy),
 ties broken by the smaller index pair, which makes runs reproducible. Each
 pair meets the product criterion once, as it is formed: a pair with
 coprime leading monomials is skipped there, since its S-polynomial always
-reduces to zero, and gets no lcm and no heap entry. mora.standard_basis
-hands complete() a prepared reducer basis, which grows by append as the
-basis grows (see mora).
+reduces to zero, and gets no lcm and no heap entry. Every other pair's lcm
+is taken once, for its heap key, and a popped pair's S-polynomial is formed
+from that key (ring.key is its own inverse) with no second lcm.
+
+Each caller hands complete() its basis prepared for its normal form, and
+complete() grows it by append: groebner a poly.DivisorBasis, which checks
+each element and reads its leading word once, as it joins, so no division
+repeats that set-up (see division); mora.standard_basis a prepared reducer
+basis (see mora).
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from collections.abc import Callable, Iterable, Sequence
 
 from . import monomials
 from .division import divide
-from .poly import Polynomial, s_polynomial
+from .poly import DivisorBasis, Polynomial, _s_polynomial
 
 
 def product_criterion(f: Polynomial, g: Polynomial) -> bool:
@@ -42,7 +48,7 @@ def complete(
     normal_form: Callable[[Polynomial, list[Polynomial]], Polynomial],
     trace: Callable[[str], None] | None,
 ) -> list[Polynomial]:
-    """Extend a nonempty monic basis in place until every S-pair reduces to zero.
+    """Extend a nonempty monic basis of one ring in place until every S-pair reduces to zero.
 
     normal_form(s, basis) reduces an S-polynomial by the current basis;
     each nonzero result is made monic and appended, and its pairs with
@@ -63,8 +69,8 @@ def complete(
     for j in range(len(basis)):
         queue_pairs(j)
     while pairs:
-        _, i, j = heapq.heappop(pairs)
-        s = s_polynomial(basis[i], basis[j])
+        key, i, j = heapq.heappop(pairs)
+        s = _s_polynomial(basis[i], basis[j], ring.key(key))
         if not s:
             continue
         r = normal_form(s, basis)
@@ -95,7 +101,7 @@ def groebner(
         raise ValueError(
             "Buchberger runs under global orders; use mora.standard_basis for local orders"
         )
-    return complete(basis, lambda s, b: divide(s, b).remainder, trace)
+    return list(complete(DivisorBasis(basis), lambda s, b: divide(s, b).remainder, trace))
 
 
 def minimalize(basis: Sequence[Polynomial]) -> list[Polynomial]:

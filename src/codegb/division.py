@@ -12,12 +12,18 @@ mask, and the quotient lm - glm it admits is one subtraction. Leading
 monomials strictly decrease from step to step, so the quotient and
 remainder terms come out already sorted and distinct.
 
-A call's fixed cost is one pass over the divisors: poly.check_divisors (a
-ring identity test, equal but distinct rings still passing, and a zero
-test) and a read of the leading word from g.terms. Quotient terms are
+The divisors are a poly.DivisorBasis, which checked each one's ring and
+read its leading word once, when it joined. divide takes one as it is,
+after one ring test of f, and prepares any other sequence first: one pass
+that tests each divisor's ring (by identity first; equal but distinct
+rings still pass) and each for zero, and reads its leading word. In
+Buchberger's loop a binomial divides in one or two steps by some twenty
+divisors, so that pass would be most of a call; the completion keeps one
+prepared basis instead, which grows with it. A call on a prepared basis
+costs its steps, each a scan of the leading words up to the first that
+divides, and a tuple of one quotient per divisor. Quotient terms are
 collected only for divisors that reduce; the others share one zero
-Polynomial. In Buchberger's loop, where a binomial divides in one or two
-steps by some twenty divisors, that set-up is most of a call.
+Polynomial.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from collections import namedtuple
 from collections.abc import Callable, Sequence
 
 from . import monomials
-from .poly import Polynomial, TermAccumulator, check_divisors
+from .poly import DivisorBasis, Polynomial, TermAccumulator
 
 
 class DivisionResult(namedtuple("DivisionResult", "quotients remainder")):
@@ -49,17 +55,19 @@ def divide(
     Returns quotients a_i and remainder r with f = sum a_i f_i + r, no
     monomial of r divisible by any leading monomial of the divisors, and
     lt(a_i f_i) <= lt(f) whenever a_i f_i is nonzero. Divisor order
-    matters: the first divisor whose leading monomial matches is used.
+    matters: the first divisor whose leading monomial matches is used. A
+    poly.DivisorBasis is used as it is; any other sequence is prepared as
+    one first, with the same results.
     """
     ring = f.ring
     if ring.order.is_local:
         raise ValueError(
             "divide requires a global order; use mora.weak_normal_form for local orders"
         )
-    divisors = check_divisors(f, divisors)
+    divisors = DivisorBasis.of(f, divisors)
 
     divides, guards, inv, p = monomials.divides, ring.guards, ring.field.inv, ring.p
-    leading = [g.terms[0][1] for g in divisors]
+    leading = divisors.leading
     quotient_terms: dict[int, list] = {}
     remainder_terms = []
     h = TermAccumulator(ring, f.terms)

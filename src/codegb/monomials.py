@@ -21,13 +21,15 @@ guard bit, and check then raises ValueError instead of wrapping. a divides b
 exactly when (b - a) & guards is 0: a field of b - a that would be
 negative borrows from above and so sets its own guard bit. The quotient is
 b - a, and the monomial 1 is the word 0 in every ring. The lcm takes the
-larger exponent of every field with one more guard-bit subtraction and
-unpacks only its result, for the degree, and occupied marks the variables
-of a word by their guard bits. Exponent tuples appear otherwise
-only at the edges, through Encoding.encode and Encoding.exponents, which
-(un)pack the fields with struct in one C call; the parser sums multiples of
-variable_word instead. A word holds n*w bits (128 KiB at n = 65 536 with
-16-bit fields), and a polynomial keeps one per term.
+larger exponent of every field with one more guard-bit subtraction; the
+exponents of the result add its degree, which it reads as the word
+mod 2^w - 1 and unpacks only when the degree could reach 2^w - 1. occupied
+marks the variables of a word by their guard bits. Exponent tuples appear
+otherwise only at the edges, through Encoding.encode and
+Encoding.exponents, which (un)pack the fields with struct in one C call;
+the parser sums multiples of variable_word instead. A word holds n*w bits
+(128 KiB at n = 65 536 with 16-bit fields), and a polynomial keeps one per
+term.
 
 The field width w is the smallest of 16, 32 and 64 bits whose exponent
 range exceeds 2p: the closed forms and translated generators of codes over
@@ -66,8 +68,8 @@ class Encoding:
     """
 
     __slots__ = (
-        "n", "width", "bound", "guards", "fields", "shift", "degree_unit", "key", "heap_key",
-        "descending", "degree", "_struct", "_byteorder",
+        "n", "width", "bound", "guards", "fields", "shift", "degree_unit", "degree_modulus", "key",
+        "heap_key", "descending", "degree", "_struct", "_byteorder",
     )
 
     def __init__(self, p: int, n: int, order: Order):
@@ -77,7 +79,10 @@ class Encoding:
         self.n = n
         self.bound = (1 << (width - 1)) - 1
         self.fields = (1 << shift) - 1  # the mask of the exponent fields, below the degree
-        ones = self.fields // ((1 << width) - 1)  # a 1 at the bottom of every field
+        # since 2^w = 1 mod 2^w - 1, a word's fields add up to the word mod 2^w - 1,
+        # as decimal digits do mod 9 (lcm reads degrees so)
+        self.degree_modulus = (1 << width) - 1
+        ones = self.fields // self.degree_modulus  # a 1 at the bottom of every field
         self.guards = ones << (width - 1)
         # degrevlex packs X_1 into the lowest field; the others pack X_1 into the top one
         self.descending = order is not Order.DEGREVLEX
@@ -155,14 +160,25 @@ def lcm(a: int, b: int, encoding: Encoding) -> int:
     guards keeps the guard bit of exactly the fields where a's exponent is
     at least b's (no field borrows from the next). Spreading each kept guard
     bit over the bits below it selects those fields of a; the other fields
-    come from b. The degree is added from the exponents of the result.
+    come from b. Lex words carry no degree. Otherwise the exponents of the
+    result add up to its degree, at most deg(a) + deg(b), and the fields'
+    word is that sum mod 2^w - 1; so when deg(a) + deg(b) < 2^w - 1 the
+    degree is the word mod 2^w - 1, and only a larger sum unpacks the
+    exponents. Fields never carry into each other in a + b, so (a + b) >>
+    shift is plus or minus deg(a) + deg(b).
     """
     mask, guards = encoding.fields, encoding.guards
     fa, fb = a & mask, b & mask
     ge = ((fa | guards) - fb) & guards
     ge -= ge >> (encoding.width - 1)
     fields = (fa & ge) | (fb & ~ge)
-    return fields + encoding.degree_unit * sum(encoding.exponents(fields))
+    unit = encoding.degree_unit
+    if not unit:
+        return fields
+    modulus = encoding.degree_modulus
+    if -modulus < (a + b) >> encoding.shift < modulus:
+        return fields + unit * (fields % modulus)
+    return fields + unit * sum(encoding.exponents(fields))
 
 
 def occupied(word: int, encoding: Encoding) -> int:

@@ -46,19 +46,20 @@ merged with the sorted product a_i*f_i of every nonzero cofactor. A product
 with a one-term factor, such as a one-term cofactor or a pure power X_j^p,
 is one mul_term pass (see poly).
 
-A divisor sequence is prepared once, as a _ReducerBasis: each divisor's
-_Reducer (leading term, ecart, one-term flag) is built when it joins.
-is_standard_basis prepares its candidate and its reference basis once for
-all their weak normal forms, Mora's completion keeps one that grows by
-append with its basis, and a call on a plain sequence prepares its own. A
-call copies the prepared list, O(s) for s divisors, and records its
-intermediates in the copy only. Up to INDEX_THRESHOLD reducers a step tests
-them all, one divides each; above it, a step tests only the candidates an
-_Index returns, at the cost its docstring states. The threshold sits at the
-measured crossover, 20 to 32 reducers on wide codes, below which the index
-costs more than it saves. Either way the step chooses the earliest
-matching reducer of least ecart, so every step, trace line and recorded
-count is the same.
+A divisor sequence is prepared once, as a _ReducerBasis: a
+poly.DivisorBasis, whose append checks each divisor's ring and that it is
+nonzero, that also builds each divisor's _Reducer (leading term, ecart,
+one-term flag) when it joins. is_standard_basis prepares its candidate and
+its reference basis once for all their weak normal forms, Mora's
+completion keeps one that grows by append with its basis, and a call on a
+plain sequence prepares its own. A call copies the prepared list, O(s) for
+s divisors, and records its intermediates in the copy only. Up to
+INDEX_THRESHOLD reducers a step tests them all, one divides each; above
+it, a step tests only the candidates an _Index returns, at the cost its
+docstring states. The threshold sits at the measured crossover, 20 to 32
+reducers on wide codes, below which the index costs more than it saves.
+Either way the step chooses the earliest matching reducer of least ecart,
+so every step, trace line and recorded count is the same.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ from operator import attrgetter
 
 from . import monomials
 from .buchberger import _prepare, complete, minimalize
-from .poly import Polynomial, TermAccumulator, add_product, check_divisors, s_polynomial
+from .poly import DivisorBasis, Polynomial, Ring, TermAccumulator, add_product, s_polynomial
 
 
 # The most reducers a step tests one by one; a longer prepared basis is
@@ -185,33 +186,33 @@ class _Index:
         return out
 
 
-class _ReducerBasis(list):
-    """Nonzero divisors of one ring, each prepared once as a _Reducer.
+class _ReducerBasis(DivisorBasis):
+    """A poly.DivisorBasis whose divisors are each also prepared once as a _Reducer.
 
     weak_normal_form takes it in place of a divisor sequence, so the checks
     that reduce many polynomials by one basis, and Mora's completion, whose
     basis only grows, build each reducer once and not once per call. It
-    grows by append only. Above INDEX_THRESHOLD reducers it keeps an _Index
+    grows by extend and append only. Above INDEX_THRESHOLD reducers it keeps an _Index
     for the scan; recorded intermediates never join it.
     """
 
     __slots__ = ("reducers", "index")
 
-    def __init__(self, divisors: Iterable[Polynomial]):
-        super().__init__()
+    def __init__(self, divisors: Iterable[Polynomial] = (), ring: Ring | None = None):
         self.reducers: list[_Reducer] = []
         self.index: _Index | None = None
-        for g in divisors:
-            self.append(g)
+        super().__init__(divisors, ring)
 
-    def append(self, g: Polynomial) -> None:
-        r = _Reducer(g, len(self) + 1)
-        super().append(g)
-        self.reducers.append(r)
+    def extend(self, divisors: Iterable[Polynomial]) -> None:
+        size = len(self)
+        super().extend(divisors)
+        joined = [_Reducer(g, position) for position, g in enumerate(self[size:], size + 1)]
+        self.reducers += joined
         if self.index is not None:
-            self.index.add(r)
+            for r in joined:
+                self.index.add(r)
         elif len(self) > INDEX_THRESHOLD:
-            self.index = _Index(g.ring, self.reducers)
+            self.index = _Index(self.ring, self.reducers)
 
 
 def weak_normal_form(
@@ -240,12 +241,7 @@ def weak_normal_form(
         raise ValueError(
             "weak_normal_form requires a local order; use division.divide for global orders"
         )
-    if type(divisors) is _ReducerBasis:
-        if divisors:
-            f._check_ring(divisors[0])
-    else:
-        divisors = _ReducerBasis(check_divisors(f, divisors))
-    return _reduce(f, divisors, trace, max_steps)
+    return _reduce(f, _ReducerBasis.of(f, divisors), trace, max_steps)
 
 
 def _reduce(
@@ -379,7 +375,7 @@ def is_standard_basis(candidate: Sequence[Polynomial], gens: Sequence[Polynomial
     """
     S = [f for f in candidate if f]
     G = [g for g in gens if g]
-    S = _ReducerBasis(check_divisors(S[0], S) if S else ())
+    S = _ReducerBasis(S)
 
     # generation first: it is cheap and fails fast when an element is missing
     for g in G:

@@ -1,15 +1,16 @@
 """Division algorithm contract under global orders."""
 
 import random
+import re
 
 import pytest
 
 from codegb.codes import parse_matrix, lex_code_basis
 from codegb.division import divide
 from codegb.monomials import Order, divides
-from codegb.mora import weak_normal_form
+from codegb.mora import _ReducerBasis, weak_normal_form
 from codegb.parsing import parse_poly
-from codegb.poly import Ring
+from codegb.poly import DivisorBasis, Ring
 
 from helpers import EXAMPLE_MATRIX, random_nonzero_poly, random_poly
 
@@ -96,6 +97,40 @@ def test_divisor_checks_and_quotient_slots():
                 reduce(f, [*divisors, zero])
             with pytest.raises(ValueError, match="divisors must be nonzero"):
                 reduce(f, [zero, Ring(7, 3, order).variable(1)])
+
+
+@pytest.mark.parametrize(
+    "prepared, reduce, order",
+    [(DivisorBasis, divide, Order.DEGLEX), (_ReducerBasis, weak_normal_form, Order.NEGDEGLEX)],
+)
+def test_a_prepared_basis_refuses_what_a_plain_sequence_is_refused_for(prepared, reduce, order):
+    # append owns the divisor rules: a divisor of another ring and the zero
+    # polynomial are refused with the messages a plain sequence gets, and a
+    # dividend of another ring is refused by the prepared basis as well
+    ring, twin = Ring(5, 3, order), Ring(5, 3, order)
+    f = parse_poly("X1^2X2+3X1X3^2+X2", ring)
+    basis = prepared([ring.variable(1)])
+    basis.append(twin.variable(2))  # equal rings pass
+    for other in (Ring(5, 3, Order.LEX), Ring(7, 3, order), Ring(5, 4, order)):
+        message = f"mixed polynomial contexts: Ring(p=5, n=3, order={order.value}) vs {other!r}"
+        for divisor in (other.variable(1), other.zero()):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                basis.append(divisor)
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                reduce(f, [ring.variable(1), divisor])
+    for other in (Ring(7, 3, order), Ring(5, 4, order)):  # a dividend of another ring
+        message = f"^mixed polynomial contexts: {re.escape(repr(other))} vs "
+        with pytest.raises(ValueError, match=message):
+            reduce(other.variable(1), basis)
+    for zero in (ring.zero(), twin.zero()):
+        with pytest.raises(ValueError, match="^divisors must be nonzero$"):
+            basis.append(zero)
+        with pytest.raises(ValueError, match="^divisors must be nonzero$"):
+            reduce(f, [ring.variable(1), zero])
+    assert basis == [ring.variable(1), twin.variable(2)]
+    assert basis.leading == [ring.variable_word(1), ring.variable_word(2)]
+    assert basis.ring is ring
+    assert reduce(f, basis) == reduce(f, list(basis))
 
 
 def test_first_divisor_wins():

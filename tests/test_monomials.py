@@ -9,6 +9,8 @@ from codegb import monomials
 from codegb.monomials import Order, divides, lcm
 from codegb.poly import Ring
 
+from helpers import ref_lcm
+
 ALL_ORDERS = list(Order)
 GLOBAL_ORDERS = [Order.LEX, Order.DEGLEX, Order.DEGREVLEX]
 
@@ -77,6 +79,50 @@ def test_divisibility_helpers():
     assert not divides(encode((2, 0)), encode((1, 2)), guards)
     assert lcm(encode((2, 0)), encode((1, 1)), ring) == encode((2, 1))
     assert encode((2, 2)) - encode((1, 0)) == encode((1, 2))
+
+
+def lcm_cases(bound):
+    """Pairs (a, b) whose degrees add up to 2^w - 3 .. 2^w and 6 * bound, for fields of w bits.
+
+    The exponents reach the bound 2^(w-1) - 1, and 2^w - 1 = 2 * bound + 1.
+    The lcm of a coprime pair has degree deg(a) + deg(b).
+    """
+    return [
+        ((bound, 0, 0), (0, bound - 1, 0)),  # 2^w - 3, coprime
+        ((bound, 0, 0), (0, bound, 0)),  # 2^w - 2, coprime
+        ((bound, 0, 1), (0, bound, 0)),  # 2^w - 1, coprime: the lcm's word is 0 mod 2^w - 1
+        ((bound, 0, 1), (0, bound, 1)),  # 2^w: the lcm has degree 2^w - 1
+        ((bound, bound, bound), (bound, bound, bound)),  # the lcm has degree 2^w + bound - 2
+    ]
+
+
+@pytest.mark.parametrize("p", [3, 16411, 2**61 - 1])  # fields of 16, 32 and 64 bits
+@pytest.mark.parametrize("order", ALL_ORDERS)
+def test_lcm_reads_its_degree_mod_2_to_the_w_minus_1_below_it_and_unpacks_above(
+    monkeypatch, order, p
+):
+    # lex words carry no degree and never unpack; the other orders read the
+    # degree as the word mod 2^w - 1 while deg(a) + deg(b) is below 2^w - 1
+    # and unpack the exponents from there up
+    ring, encode = words(order, 3, p)
+    modulus = (1 << ring.width) - 1
+    unpacked = []
+    exponents = monomials.Encoding.exponents
+
+    def counted(self, word):
+        unpacked.append(word)
+        return exponents(self, word)
+
+    for a, b in lcm_cases(ring.bound):
+        wa, wb = encode(a), encode(b)
+        with monkeypatch.context() as patch:
+            patch.setattr(monomials.Encoding, "exponents", counted)
+            gamma = lcm(wa, wb, ring)
+            assert lcm(wb, wa, ring) == gamma
+        assert gamma == encode(ref_lcm(a, b))
+        below = sum(a) + sum(b) < modulus
+        assert len(unpacked) == (0 if order is Order.LEX or below else 2), (a, b)
+        unpacked.clear()
 
 
 def test_length_mismatch_rejected():

@@ -4,8 +4,9 @@ The packed monomial words are checked against the tuple reference in
 helpers, in all four orders and at all three field widths, up to the top of
 the exponent range; merged add/sub, products and the TermAccumulator
 against Ring.poly, the normalizing constructor, as the reference; division
-and Mora reduction against their contracts, and the reducer index against
-the scan of every reducer it replaces. Last, a failing property run
+and Mora reduction against their contracts, division through a prepared
+basis against division through the plain list, and the reducer index
+against the scan of every reducer it replaces. Last, a failing property run
 under the project's pytest configuration must still report its counterexample.
 """
 
@@ -23,7 +24,7 @@ from codegb import monomials, mora
 from codegb.division import divide
 from codegb.monomials import Order, divides
 from codegb.mora import _Index, _Reducer, _ReducerBasis, weak_normal_form
-from codegb.poly import Polynomial, Ring, TermAccumulator, add_product
+from codegb.poly import DivisorBasis, Polynomial, Ring, TermAccumulator, add_product
 
 from helpers import (
     compare,
@@ -434,6 +435,37 @@ def test_divide_contract(args):
     assert total == f
     for _, m in result.remainder.terms:
         assert not any(divides(g.leading_monomial, m, f.ring.guards) for g in divisors)
+
+
+@st.composite
+def growing_divisions(draw):
+    """Divisors, then rounds of a dividend and the divisors that join before it."""
+    ring = draw(rings(GLOBAL_ORDERS))
+    divisors = [nonzero_polys(draw, ring, max_terms=4) for _ in range(draw(st.integers(0, 3)))]
+    rounds = [
+        (
+            [nonzero_polys(draw, ring, max_terms=4) for _ in range(draw(st.integers(0, 2)))],
+            polys(draw, ring, max_terms=8, max_exp=4),
+        )
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return ring, divisors, rounds
+
+
+@FAST
+@given(growing_divisions())
+def test_a_prepared_basis_divides_as_the_plain_list_does(args):
+    # the basis grows by append between divisions, as Buchberger's completion grows it
+    ring, divisors, rounds = args
+    basis = DivisorBasis(divisors, ring)
+    for joining, f in rounds:
+        for g in joining:
+            basis.append(g)
+            divisors.append(g)
+        assert basis.leading == [g.leading_monomial for g in divisors]
+        prepared, plain = [], []
+        assert divide(f, basis, trace=prepared.append) == divide(f, divisors, trace=plain.append)
+        assert prepared == plain
 
 
 @st.composite

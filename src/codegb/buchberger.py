@@ -130,11 +130,16 @@ def reduce_basis(basis: Iterable[Polynomial]) -> list[Polynomial]:
 
     Minimalizes, then tail-reduces each element against the others; no
     monomial of any output element is divisible by another output
-    element's leading monomial.
+    element's leading monomial. The minimal basis is prepared once, and
+    each element's tail is divided by all of it: every term of that
+    division is below the element's leading monomial, which therefore
+    divides none of them, so the steps and the remainder are those of a
+    division by the others. Minimal elements are monic, and so is the result.
     """
     minimal = minimalize(basis)
+    divisors = DivisorBasis(minimal)
     reduced = []
-    for idx, f in enumerate(minimal):
-        others = minimal[:idx] + minimal[idx + 1 :]
-        reduced.append(divide(f, others).remainder.monic() if others else f)
+    for f in minimal:
+        tail = divide(Polynomial(f.ring, f.terms[1:]), divisors).remainder
+        reduced.append(Polynomial(f.ring, (f.terms[0], *tail.terms)))
     return reduced

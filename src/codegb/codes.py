@@ -7,15 +7,14 @@ Groebner basis of the code ideal and, after translating the common zero
 (1, ..., 1) to the origin, the closed-form standard basis of the translated
 ideal under the negative degree lexicographic order. A closed form of more
 than MAX_CLOSED_FORM_TERMS terms is refused with ValueError, unbuilt.
-Every polynomial built here lives in the one Ring of its (p, n, order), so
-the verifier's ring agreement tests are identity tests.
+Every polynomial built here lives in Ring(G.p, G.n, order), the one live
+ring of that value (see poly.Ring).
 """
 
 from __future__ import annotations
 
 import re
 from collections import namedtuple
-from functools import lru_cache
 
 from . import monomials
 from .gfp import is_prime
@@ -32,12 +31,6 @@ _ENTRY = re.compile(r"-?[0-9]+")
 # The most terms, summed over rows, that closed_form_basis and translated_generators build:
 # at their peak of 125-223 bytes per term, about 0.2 GiB. p=3, n=12 all ones has 177 147.
 MAX_CLOSED_FORM_TERMS = 2**20
-
-
-@lru_cache(maxsize=64)
-def _ring(p: int, n: int, order: Order) -> Ring:
-    """One Ring per (p, n, order), so the polynomials of every call share it."""
-    return Ring(p, n, order)
 
 
 class MatrixFormatError(ValueError):
@@ -144,7 +137,7 @@ def lex_code_basis(G: GeneratorMatrix) -> list[Polynomial]:
     k binomials X_i - X^{m_i} followed by the field relations X_i^p - 1
     for the free columns.
     """
-    ring = _ring(G.p, G.n, Order.LEX)
+    ring = Ring(G.p, G.n, Order.LEX)
     out = [ring.variable(i) + ring.term(G.p - 1, mi_vector(G, i)) for i in range(1, G.k + 1)]
     for i in range(G.k + 1, G.n + 1):
         power = tuple(G.p if j == i - 1 else 0 for j in range(G.n))
@@ -160,7 +153,7 @@ def translated_generators(G: GeneratorMatrix) -> list[Polynomial]:
     (X_i + 1) + (p-1) * prod_{j in supp(m_i)} (X_j + 1)^(p - g_ij) for the
     identity columns and (X_i + 1)^p + (p - 1) for the free columns.
     """
-    ring = _ring(G.p, G.n, Order.NEGDEGLEX)
+    ring = Ring(G.p, G.n, Order.NEGDEGLEX)
     out = []
     for i, mi in enumerate(_mi_vectors(G), start=1):
         prod_part = ring.constant(G.p - 1)
@@ -196,7 +189,7 @@ def closed_form_basis(G: GeneratorMatrix) -> list[Polynomial]:
     constant term, the first one built, and one sort by word puts them in
     order.
     """
-    ring = _ring(G.p, G.n, Order.NEGDEGLEX)
+    ring = Ring(G.p, G.n, Order.NEGDEGLEX)
     p, binom, x_word = G.p, ring.field.binom, ring.variable_word
     out = []
     for i, mi in enumerate(_mi_vectors(G), start=1):

@@ -15,15 +15,14 @@ remainder terms come out already sorted and distinct.
 The divisors are a poly.DivisorBasis, which checked each one's ring and
 read its leading word once, when it joined. divide takes one as it is,
 after one ring test of f, and prepares any other sequence first: one pass
-that tests each divisor's ring (by identity first; equal but distinct
-rings still pass) and each for zero, and reads its leading word. In
-Buchberger's loop a binomial divides in one or two steps by some twenty
-divisors, so that pass would be most of a call; the completion keeps one
-prepared basis instead, which grows with it. A call on a prepared basis
-costs its steps, each a scan of the leading words up to the first that
-divides, and a tuple of one quotient per divisor. Quotient terms are
-collected only for divisors that reduce; the others share one zero
-Polynomial.
+that tests each divisor's ring (by identity) and each for zero, and reads
+its leading word. In Buchberger's loop a binomial divides in one or two
+steps by some twenty divisors, so that pass would be most of a call; the
+completion keeps one prepared basis instead, which grows with it. A call
+on a prepared basis costs its steps, each a scan of the leading words up
+to the first that divides, and a tuple of one quotient per divisor.
+Quotient terms are collected only for divisors that reduce; the others
+share one zero Polynomial.
 """
 
 from __future__ import annotations

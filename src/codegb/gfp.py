@@ -20,7 +20,13 @@ _BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin test, exact below 3.3 * 10^24; ValueError above."""
+    """Deterministic Miller-Rabin test of an int, exact below 3.3 * 10^24; ValueError above.
+
+    TypeError for anything else: a float 3.0 passed as prime would make a
+    field, and a ring, whose coefficients are floats.
+    """
+    if not isinstance(n, int):
+        raise TypeError(f"modulus must be an int, not {n!r}")
     if n >= _BOUND:
         raise ValueError("modulus too large")
     if n < 2:

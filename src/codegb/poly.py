@@ -8,7 +8,8 @@ Ring.poly and Ring.term take exponent tuples, Ring.exponents gives them back;
 the parser builds its n*w-bit words itself (see monomials) for Ring._from_dict.
 Polynomials never leave their ring implicitly: leading-term queries are
 only meaningful for a fixed order, so rebinding to another order is the
-explicit Ring.convert operation.
+explicit Ring.convert operation. There is one live Ring per (p, n, order),
+so two polynomials share a ring exactly when their rings are one object.
 
 Ring.poly is the normalizing constructor for raw, unsorted terms (a dict
 merge plus one sort of the words). Sums and differences of Polynomials skip
@@ -47,6 +48,7 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from operator import itemgetter
+from weakref import WeakValueDictionary
 from collections.abc import Iterable, Iterator, Sequence
 
 from . import monomials
@@ -55,36 +57,43 @@ from .monomials import Order
 
 Term = tuple[int, int]
 
+# (p, n, order) -> the live Ring of that value; unbounded, since an evicted
+# ring would let two equal rings coexist and refuse each other
+_live_rings: WeakValueDictionary[tuple, Ring] = WeakValueDictionary()
+
 
 class Ring(monomials.Encoding):
     """Arithmetic context: F_p coefficients, n variables, one active order.
 
     A Ring is the monomials.Encoding of its words: word operations take the ring itself.
+    Ring(p, n, order) returns the one live Ring of that value, built on the
+    first call and held by a weak registry, so equal rings are one object
+    and ring agreement is an identity test.
     """
 
-    __slots__ = ("p", "order", "field")
+    __slots__ = ("p", "order", "field", "__weakref__")
 
-    def __init__(self, p: int, n: int, order: Order):
+    def __new__(cls, p: int, n: int, order: Order):
+        # checked before the lookup, so a refusal never depends on which rings are live
         if not isinstance(order, Order):
             raise TypeError(f"order must be an Order, not {order!r}")
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise TypeError(f"variable count must be an int, not {n!r}")
         if n < 1:
             raise ValueError("variable count must be at least 1")
         if n > 65536:  # printing costs memory per variable; a 20-byte file could ask for GBs
             raise ValueError(f"variable count {n} exceeds 65536")
-        self.field = PrimeField(p)
-        self.p = p
-        self.order = order
-        super().__init__(p, n, order)
+        field = PrimeField(p)
+        ring = _live_rings.get((p, n, order))
+        if ring is None:
+            ring = super().__new__(cls)
+            ring.p, ring.order, ring.field = p, order, field
+            monomials.Encoding.__init__(ring, p, n, order)
+            _live_rings[p, n, order] = ring
+        return ring
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Ring):
-            return NotImplemented
-        return (self.p, self.n, self.order) == (other.p, other.n, other.order)
-
-    def __hash__(self):
-        return hash((self.p, self.n, self.order))
+    def __init__(self, p: int, n: int, order: Order):
+        """Nothing is left to do: __new__ builds each ring once."""
 
     def __repr__(self):
         return f"Ring(p={self.p}, n={self.n}, order={self.order.value})"
@@ -174,7 +183,7 @@ class Polynomial:
 
     def _check_ring(self, other: Polynomial) -> None:
         if self.ring is not other.ring:
-            _check_rings(self.ring, other.ring)
+            _refuse_mixed(self.ring, other.ring)
 
     def _merge(self, other: Polynomial) -> Polynomial:
         """self + other by one linear merge of the two descending term sequences."""
@@ -313,7 +322,7 @@ class Polynomial:
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return self.ring is other.ring and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.ring, self.terms))
@@ -439,23 +448,22 @@ class TermAccumulator:
         return self.ring._from_dict(self.coeffs)
 
 
-def _check_rings(ring: Ring, other: Ring) -> None:
-    """ValueError unless two distinct Ring objects are equal; callers test identity first."""
-    if ring != other:
-        raise ValueError(f"mixed polynomial contexts: {ring} vs {other}")
+def _refuse_mixed(ring: Ring, other: Ring) -> None:
+    """Raise the ValueError of two polynomials or divisors whose rings differ."""
+    raise ValueError(f"mixed polynomial contexts: {ring} vs {other}")
 
 
 class DivisorBasis(list):
     """Nonzero divisors of one ring, each checked and read once, as it joins.
 
     Divisors join only by extend or append, which refuse one of another ring
-    (tested by identity first; equal but distinct rings pass) and the zero
-    polynomial, and read each leading word into leading. A refused sequence
-    adds nothing. division.divide takes a DivisorBasis as it is (see of), so
-    a loop that divides many polynomials by one basis pays that set-up once
-    per divisor, not once per call: Buchberger's completion keeps one, which
-    grows with its basis. mora._ReducerBasis extends it with each divisor's
-    reducer.
+    (an identity test, see Ring) and the zero polynomial, and read each
+    leading word into leading. A refused sequence adds nothing.
+    division.divide takes a DivisorBasis as it is (see of), so a loop that
+    divides many polynomials by one basis pays that set-up once per divisor,
+    not once per call: Buchberger's completion keeps one, which grows with
+    its basis, and reduce_basis one for its minimal basis.
+    mora._ReducerBasis extends it with each divisor's reducer.
     """
 
     __slots__ = ("ring", "leading")
@@ -480,16 +488,15 @@ class DivisorBasis(list):
         return cls(divisors, f.ring)
 
     def extend(self, divisors: Iterable[Polynomial]) -> None:
-        # one loop for a whole sequence: a method call per divisor read
-        # reduce_basis, which prepares s - 1 divisors per division, 1.2x slower
+        # one loop for a whole sequence, not a method call per divisor:
+        # divide prepares every plain sequence it is handed, once per call
         divisors = list(divisors)
         ring = self.ring
         for g in divisors:
             if g.ring is not ring:
-                if ring is None:
-                    ring = g.ring
-                else:
-                    _check_rings(ring, g.ring)
+                if ring is not None:
+                    _refuse_mixed(ring, g.ring)
+                ring = g.ring
             if not g.terms:
                 raise ValueError("divisors must be nonzero")
         self.ring = ring

@@ -70,8 +70,8 @@ def test_zero_divisor_rejected():
 
 def test_divisor_checks_and_quotient_slots():
     ring = Ring(5, 3, Order.DEGLEX)
-    twin = Ring(5, 3, Order.DEGLEX)  # equal to ring, but a distinct object
-    assert twin == ring and twin is not ring
+    twin = Ring(5, 3, Order.DEGLEX)  # equal to ring, so the same object
+    assert twin is ring
     f = parse_poly("X1^2X2+3X1X3^2+X2", ring)
     texts = ["X3^3+X1", "X1X2+2X3", "X2^4+X1", "X1X3+4"]
     divisors = [parse_poly(text, ring) for text in texts]

@@ -1,7 +1,9 @@
 """Polynomial normalization, arithmetic, leading data, reduction, ecart."""
 
+import gc
 import math
 import random
+import weakref
 
 import pytest
 
@@ -54,9 +56,41 @@ def test_normalize_rejects_bad_monomials():
 
 
 def test_a_ring_refuses_an_order_that_is_not_an_order():
-    # a str would be laid out as negdeglex and fail only later, in repr
+    # a str would be laid out as negdeglex and fail only later, in repr; the
+    # order is checked before the live rings are looked up, which could not
+    # hash a list, so a live ring of the same p and n changes no refusal
+    lex = Ring(3, 2, Order.LEX)
     with pytest.raises(TypeError, match=r"^order must be an Order, not 'lex'$"):
         Ring(3, 2, "lex")
+    with pytest.raises(TypeError, match=r"^order must be an Order, not \['lex'\]$"):
+        Ring(3, 2, ["lex"])
+    assert Ring(3, 2, Order.LEX) is lex
+
+
+def test_a_ring_refuses_a_modulus_or_variable_count_that_is_not_an_int():
+    # 3.0 == 3 and hashes alike, so a float would find the live int ring, or
+    # else build a ring whose coefficients print as floats
+    lex = Ring(3, 2, Order.LEX)
+    for p in (3.0, "3"):
+        with pytest.raises(TypeError, match=f"^modulus must be an int, not {p!r}$"):
+            Ring(p, 2, Order.LEX)
+    for n in (2.0, True):
+        with pytest.raises(TypeError, match=f"^variable count must be an int, not {n!r}$"):
+            Ring(3, n, Order.LEX)
+    assert str(2 * parse_poly("X1+2X2", lex)) == "2X1+X2"
+
+
+def test_equal_rings_are_one_object_and_an_unreferenced_ring_is_freed():
+    values = [(p, n, order) for p in (2, 3, 16411) for n in (1, 2, 5) for order in Order]
+    rings = [Ring(p, n, order) for p, n, order in values]
+    assert all(Ring(p=p, n=n, order=order) is ring for (p, n, order), ring in zip(values, rings))
+    assert len({id(ring) for ring in rings}) == len(values)  # different values, different rings
+    assert [(ring.p, ring.n, ring.order) for ring in rings] == values
+    # the registry holds rings weakly: one that nothing references is freed
+    # (a lex ring is in a reference cycle, through its degree function)
+    freed = weakref.ref(Ring(7, 4000, Order.LEX))
+    gc.collect()
+    assert freed() is None
 
 
 def test_ring_mismatch_rejected():

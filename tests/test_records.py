@@ -73,3 +73,8 @@ def test_the_validating_records_refuse_with_their_messages():
         GeneratorMatrix(3, 1, 2, ((1, 1),))._replace(rows=((1, 3),))
     with pytest.raises(ValueError, match=r"^modulus 9 is not prime$"):
         PrimeField(5)._replace(p=9)
+    # a modulus that is not an int is refused by the primality test both share
+    with pytest.raises(TypeError, match=r"^modulus must be an int, not 3\.0$"):
+        PrimeField(3.0)
+    with pytest.raises(TypeError, match=r"^modulus must be an int, not 3\.0$"):
+        GeneratorMatrix(3.0, 1, 2, ((1, 1),))

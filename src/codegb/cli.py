@@ -11,10 +11,11 @@ Polynomials are printed one per line in canonical form; --trace sends
 reduction events to stderr, so stdout stays byte-stable. Input files are
 UTF-8, and a byte-order mark at the start of one is skipped.
 
-The subcommands are one table, _COMMANDS. main builds the arguments of
-the invoked subcommand only, since building the whole parser took most of
-a small command's time, and parses argv exactly as the full parser,
-build_parser() with no argument, does.
+The subcommands are one table, _COMMANDS, and build_parser() is the full
+parser. An argv that starts with a command is parsed by that subcommand's
+parser alone, since building the full parser took most of a small
+command's time; any other argv, or one with tokens left over, by the full
+parser. Both read every argv alike (see parse_args).
 """
 
 from __future__ import annotations
@@ -212,42 +213,53 @@ _COMMANDS = (
 )
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The CLI's parser; with a command name, only that subcommand gets its arguments.
+def _add_arguments(parser: argparse.ArgumentParser, handler, arguments) -> None:
+    """One subcommand's arguments, in --help order, and its handler as func."""
+    for argument, options in arguments:
+        parser.add_argument(argument, **options)
+    parser.set_defaults(func=handler)
 
-    Every subcommand is added with its help line, so the top-level usage,
-    --help and an unknown command's choices are the same either way. The
-    others are left empty, without even -h. With no name, the full parser.
-    """
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's full parser: every subcommand, each with its arguments."""
     parser = argparse.ArgumentParser(
         prog="codegb",
         description="Exact Groebner and standard bases for binomial ideals of linear codes",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_line, handler, arguments in _COMMANDS:
-        if command is not None and name != command:
-            sub.add_parser(name, help=help_line, add_help=False)
-            continue
-        subparser = sub.add_parser(name, help=help_line)
-        for argument, options in arguments:
-            subparser.add_argument(argument, **options)
-        subparser.set_defaults(func=handler)
+        _add_arguments(sub.add_parser(name, help=help_line), handler, arguments)
     return parser
 
 
 def parse_args(argv) -> argparse.Namespace:
-    """build_parser(command).parse_args(argv), for the command that argv invokes.
+    """build_parser().parse_args(argv), with one parser when argv starts with a command.
 
-    The top-level parser has no option that takes a value, so the command it
-    dispatches on is the first token it reads as a positional. It reads every
-    token that does not start with '-' as one, so the command is the first
-    such token, unless an earlier token that starts with '-' is read as a
-    positional too (such as '-', '-1' or '--'). No command starts with '-',
-    so argparse then exits with "invalid choice" at the top level, before any
-    subparser runs.
+    Then that subcommand's parser alone reads argv[1:], and the result is
+    the full parser's, for these reasons:
+    - The top level has no option but -h, and its subparsers action
+      (nargs=PARSER) takes the command and every token after it, so the top
+      level reads nothing else.
+    - add_parser names the subparser "codegb <command>" and gives it no
+      other setting (its help line goes to the top level's list), so this
+      parser is built as that subparser is.
+    - The subparsers action runs this same parse_known_args call and copies
+      the result into a namespace whose only other attribute is command.
+      Its leftover tokens become the top level's "unrecognized arguments"
+      error.
+    Leftovers, and an argv that does not start with a command (none, an
+    option first, '--' or an unknown name), go to the full parser, which
+    prints argparse's own errors and help.
     """
-    command = next((token for token in argv if not token.startswith("-")), None)
-    return build_parser(command).parse_args(argv)
+    for name, _, handler, arguments in _COMMANDS:
+        if argv and argv[0] == name:
+            parser = argparse.ArgumentParser(prog=f"codegb {name}")
+            _add_arguments(parser, handler, arguments)
+            namespace, leftover = parser.parse_known_args(argv[1:])
+            if not leftover:
+                namespace.command = name
+                return namespace
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

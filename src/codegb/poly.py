@@ -98,6 +98,10 @@ class Ring(monomials.Encoding):
     def __repr__(self):
         return f"Ring(p={self.p}, n={self.n}, order={self.order.value})"
 
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild a ring by value, so they return the live one
+        return Ring, (self.p, self.n, self.order)
+
     def poly(self, terms: Iterable[tuple[int, Sequence[int]]]) -> Polynomial:
         """Build a polynomial from raw (coefficient, exponent sequence) pairs.
 

@@ -12,7 +12,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from codegb import cli, codes
@@ -145,16 +145,21 @@ def test_cli_surface_is_pinned():
     assert list(surface) == list(CLI_SURFACE)
 
 
-# the CLI's own vocabulary, plus an unknown command, an option prefix, an
-# option with its value attached, and the tokens argparse reads specially
+# the CLI's own vocabulary, plus an unknown command, option prefixes, options
+# with their value attached, and the tokens argparse reads specially
 ARGV_TOKENS = [
     *CLI_SURFACE,
     "bogus",
     *sorted({s for command in CLI_SURFACE.values() for flags, *_ in command.values() for s in flags}),
     "-h",
     "--help",
+    "--he",
     "--ord",
+    "--inj",
+    "--meth",
+    "--max",
     "--order=deglex",
+    "--inject-drop=1",
     "--",
     "-",
     "-1",
@@ -183,39 +188,62 @@ def _parse_outcome(parse, argv):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.lists(st.sampled_from(list(CLI_SURFACE)) | st.sampled_from(ARGV_TOKENS), max_size=6))
+@example(["verify", "matrix.txt", "extra"])  # a leftover positional
+@example(["verify", "--", "matrix.txt"])
+@example(["nf", "--", "X1", "matrix.txt"])
+@example(["groebner", "matrix.txt", "--", "--order"])
 def test_the_invoked_subcommand_parse_equals_the_full_parse(argv):
-    # main builds only the arguments of the subcommand argv names; argparse
-    # must not tell the difference, also in its errors and --help
+    # an argv that starts with a command is parsed by that subcommand's parser
+    # alone; argparse must not tell the difference, also in its errors and --help
     with mock.patch.dict(os.environ, COLUMNS="80"):
-        pruned = _parse_outcome(cli.parse_args, argv)
+        alone = _parse_outcome(cli.parse_args, argv)
         full = _parse_outcome(lambda tokens: build_parser().parse_args(tokens), argv)
-    assert pruned == full
+    assert alone == full
 
 
-def test_main_builds_only_the_invoked_subcommands_arguments(matrix_file):
+@contextlib.contextmanager
+def _counting_builds():
+    """The prog of each ArgumentParser built, and the names of each add_argument call."""
     # counted at the class, so that a call through any parser or binding is seen
-    calls = []
-    add_argument = argparse._ActionsContainer.add_argument
+    progs, calls = [], []
+    init, add_argument = argparse.ArgumentParser.__init__, argparse._ActionsContainer.add_argument
+
+    def counting_init(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
 
     def counting(self, *args, **kwargs):
         calls.append(args)
         return add_argument(self, *args, **kwargs)
 
-    with mock.patch.object(argparse._ActionsContainer, "add_argument", counting):
-        build_parser()
-        full = len(calls)
-        calls.clear()
+    with mock.patch.object(argparse.ArgumentParser, "__init__", counting_init), \
+            mock.patch.object(argparse._ActionsContainer, "add_argument", counting):
+        yield progs, calls
+
+
+VERIFY_BUILD = [("-h", "--help"), ("matrix",), ("--inject-drop",), ("--random",), ("--seed",)]
+
+
+def test_main_builds_only_the_invoked_subcommands_arguments(matrix_file):
+    with _counting_builds() as (progs, calls):
         assert main(["verify", matrix_file]) == 0
-    # the full parser: the top-level -h, four subcommands' -h and 15 arguments
-    assert full == 20
-    assert calls == [
-        ("-h", "--help"),
-        ("-h", "--help"),
-        ("matrix",),
-        ("--inject-drop",),
-        ("--random",),
-        ("--seed",),
-    ]
+    # one parser, verify's own: its -h and four arguments
+    assert progs == ["codegb verify"]
+    assert calls == VERIFY_BUILD
+
+
+def test_a_leftover_token_builds_the_full_parser(matrix_file, capsys):
+    with _counting_builds() as (full_progs, full_calls):
+        build_parser()
+    # the top level and four subcommands, with five -h and 15 arguments
+    assert full_progs == ["codegb", *(f"codegb {name}" for name in CLI_SURFACE)]
+    assert len(full_calls) == 20
+    with _counting_builds() as (progs, calls), pytest.raises(SystemExit) as exc:
+        main(["verify", matrix_file, "extra"])
+    assert exc.value.code == 2
+    assert "codegb: error: unrecognized arguments: extra" in capsys.readouterr().err
+    assert progs == ["codegb verify", *full_progs]
+    assert calls == [*VERIFY_BUILD, *full_calls]
 
 
 def test_missing_file(capsys, tmp_path):

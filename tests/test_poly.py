@@ -1,7 +1,9 @@
 """Polynomial normalization, arithmetic, leading data, reduction, ecart."""
 
+import copy
 import gc
 import math
+import pickle
 import random
 import weakref
 
@@ -91,6 +93,14 @@ def test_equal_rings_are_one_object_and_an_unreferenced_ring_is_freed():
     freed = weakref.ref(Ring(7, 4000, Order.LEX))
     gc.collect()
     assert freed() is None
+
+
+def test_a_copied_or_pickled_ring_is_the_live_ring():
+    ring = Ring(3, 2, Order.DEGLEX)
+    f = parse_poly("2X1^2X2+X2+1", ring)
+    for clone in (copy.copy, copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))):
+        assert clone(ring) is ring
+        assert clone(f) == f  # == holds only for the same ring object
 
 
 def test_ring_mismatch_rejected():

@@ -118,6 +118,11 @@ def _cases():
     yield "error-argparse-unknown-option", ["verify", "matrix.txt", "--bogus"], m3
     yield "error-argparse-double-dash-first", ["--", "verify", "matrix.txt"], m3
     yield "error-argparse-negative-number-first", ["-1", "verify", "matrix.txt"], m3
+    # a command-first argv is parsed by its subcommand's parser alone, unless a token is left over
+    yield "error-argparse-extra-positional", ["verify", "matrix.txt", "extra"], m3
+    yield "groebner-order-abbreviated", ["groebner", "matrix.txt", "--ord", "degrevlex"], m3
+    yield "help-verify-abbreviated", ["verify", "--he"], {}
+    yield "nf-double-dash", ["nf", "--", NF_POLY, "basis.txt"], lex_basis
 
 
 def _lines(text: str) -> list[str]:
